@@ -27,19 +27,6 @@ from repro.report.export import export_results, write_text
 __all__ = ["main", "build_parser"]
 
 
-def _add_engine_arg(p) -> None:
-    p.add_argument(
-        "--engine",
-        default="thread",
-        choices=["thread", "event"],
-        help=(
-            "simmpi scheduler backend: 'thread' (one OS thread per rank) or "
-            "'event' (single-threaded discrete-event; identical results, far "
-            "cheaper at scale) (default: thread)"
-        ),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -188,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit one machine-readable JSON object instead of tables",
     )
-    _add_engine_arg(faults_p)
 
     sdc_p = sub.add_parser(
         "sdc",
@@ -221,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the last run's versioned RunRecord JSON to this path",
     )
-    _add_engine_arg(sdc_p)
 
     chaos_p = sub.add_parser(
         "chaos",
@@ -278,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the chaos_summary payload as JSON on stdout",
     )
-    _add_engine_arg(chaos_p)
 
     trace_p = sub.add_parser(
         "trace",
@@ -327,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
             "explicit abft.* cost-model terms"
         ),
     )
-    _add_engine_arg(trace_p)
 
     watch_p = sub.add_parser(
         "watch",
@@ -378,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit one machine-readable JSON object instead of live lines",
     )
-    _add_engine_arg(watch_p)
 
     history_p = sub.add_parser(
         "history",
@@ -488,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit one machine-readable JSON object instead of tables",
     )
-    _add_engine_arg(profile_p)
 
     diff_p = sub.add_parser(
         "diff",
@@ -759,7 +740,6 @@ def _run_faults(args) -> int:
         result = elastic_mlp_train(
             params0, x, y, pr=pr, pc=pc, batch=batch, steps=args.steps,
             checkpoint_every=2, faults=plan, trace=True, sdc=args.sdc,
-            engine=args.engine,
         )
     except ReproError as exc:
         print(f"DEGRADED: run failed under the fault plan: {exc}", file=sys.stderr)
@@ -902,7 +882,7 @@ def _run_sdc(args) -> int:
     from repro.dist.abft import make_guard
     from repro.dist.train import MLPParams, distributed_mlp_train, mlp_run_record
     from repro.errors import RankFailedError, SDCError
-    from repro.simmpi.engine import resolve_engine
+    from repro.simmpi.engine import SimEngine
     from repro.simmpi.faults import BitFlipFault, FaultPlan
 
     dims = (12, 10, 8)
@@ -914,8 +894,7 @@ def _run_sdc(args) -> int:
     params0 = MLPParams.init(dims, seed=args.seed)
 
     def run(plan=None, guard=None):
-        engine = resolve_engine(args.engine, pr * pc, None, trace=True,
-                                faults=plan)
+        engine = SimEngine(pr * pc, trace=True, faults=plan)
         weights, _, sim = distributed_mlp_train(
             params0, x, y, pr=pr, pc=pc, batch=batch, steps=args.steps,
             engine=engine, sdc=guard,
@@ -1175,7 +1154,7 @@ def _run_chaos(args) -> int:
                     params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
                     checkpoint_every=2, ckpt_mode=mode, parity=parity,
                     faults=plan, sdc=sdc, trace=want_artifacts,
-                    timeout=args.timeout, engine=args.engine,
+                    timeout=args.timeout,
                 ),
                 None,
             )
@@ -1393,7 +1372,7 @@ def _run_watch(args) -> int:
         evaluate_health,
     )
     from repro.observe.watch import WatchRenderer
-    from repro.simmpi.engine import resolve_engine
+    from repro.simmpi.engine import SimEngine
     from repro.simmpi.faults import Crash, FaultPlan, Straggler
 
     cfg_kwargs = {}
@@ -1434,8 +1413,7 @@ def _run_watch(args) -> int:
             pr = pc = 2
             if scenario == "diverge":
                 lr = 40.0  # deliberately unstable: loss blows up past 2x best
-            engine = resolve_engine(args.engine, pr * pc, None, trace=True,
-                                    metrics=sink)
+            engine = SimEngine(pr * pc, trace=True, metrics=sink)
             _, losses, sim = distributed_mlp_train(
                 params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
                 lr=lr, engine=engine,
@@ -1473,7 +1451,7 @@ def _run_watch(args) -> int:
             result = elastic_mlp_train(
                 params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
                 checkpoint_every=2, parity=parity, faults=plan,
-                trace=True, metrics=sink, engine=args.engine,
+                trace=True, metrics=sink,
             )
             engine = result.engine
             config = {"scenario": scenario, "steps": steps, "parity": parity}
@@ -1709,7 +1687,7 @@ def _run_trace(args) -> int:
     from repro.errors import ReproError
     from repro.report.export import export_metrics
     from repro.report.timeline import render_traffic_matrix, traffic_matrix
-    from repro.simmpi.engine import resolve_engine
+    from repro.simmpi.engine import SimEngine
     from repro.telemetry.audit import audit_events
     from repro.telemetry.chrome import validate_chrome_trace, write_chrome_trace
     from repro.telemetry.metrics import MetricsRegistry
@@ -1727,7 +1705,7 @@ def _run_trace(args) -> int:
     x = rng.standard_normal((dims[0], n))
     y = rng.integers(0, dims[-1], n)
     try:
-        engine = resolve_engine(args.engine, args.pr * args.pc, None, trace=True)
+        engine = SimEngine(args.pr * args.pc, trace=True)
         _, _, sim = distributed_mlp_train(
             MLPParams.init(dims, seed=seed), x, y,
             pr=args.pr, pc=args.pc, batch=args.batch, steps=args.steps,
@@ -1840,7 +1818,7 @@ def _run_profile(args) -> int:
         write_flamegraph_html,
         write_pprof_json,
     )
-    from repro.simmpi.engine import resolve_engine
+    from repro.simmpi.engine import SimEngine
 
     try:
         pr, pc = _profile_grid(args)
@@ -1858,8 +1836,8 @@ def _run_profile(args) -> int:
     record = None
     if not args.json:
         print(
-            f"profile : {args.trainer} on a {pr}x{pc} grid "
-            f"({args.engine} backend), {steps} step(s), "
+            f"profile : {args.trainer} on a {pr}x{pc} grid, "
+            f"{steps} step(s), "
             f"sampling at {session.hz:g}Hz"
         )
     try:
@@ -1873,7 +1851,7 @@ def _run_profile(args) -> int:
             n = 2 * batch
             x = rng.standard_normal((dims[0], n))
             y = rng.integers(0, dims[-1], n)
-            engine = resolve_engine(args.engine, pr * pc, None, trace=trace)
+            engine = SimEngine(pr * pc, trace=trace)
             _, _, sim = distributed_mlp_train(
                 MLPParams.init(dims, seed=seed), x, y,
                 pr=pr, pc=pc, batch=batch, steps=steps,
@@ -1897,7 +1875,7 @@ def _run_profile(args) -> int:
             result = elastic_mlp_train(
                 MLPParams.init(dims, seed=seed), x, y,
                 pr=pr, pc=pc, batch=batch, steps=steps,
-                trace=trace, engine=args.engine, profile=session,
+                trace=trace, profile=session,
             )
             if trace:
                 record = elastic_run_record(
@@ -1914,7 +1892,7 @@ def _run_profile(args) -> int:
             b = rng.standard_normal((k, n_cols))
             _, sim, engine = summa_train(
                 a, b, pr=pr, pc=pc, trace=trace,
-                engine=args.engine, profile=session,
+                profile=session,
             )
             if trace:
                 record = summa_run_record(
@@ -1935,7 +1913,7 @@ def _run_profile(args) -> int:
             )
             batch = 2 * pc
             x, y = synthetic_images(2 * batch, 2, h, h, 5, seed=seed)
-            engine = resolve_engine(args.engine, pr * pc, None, trace=trace)
+            engine = SimEngine(pr * pc, trace=trace)
             _, _, sim = distributed_cnn_train(
                 config, CNNParams.init(config, seed=seed), x, y,
                 pr=pr, pc=pc, batch=batch, steps=steps,
@@ -1967,7 +1945,7 @@ def _run_profile(args) -> int:
         out = args.out.rstrip("/")
         collapsed = session.collapsed
         subtitle = (
-            f"{args.trainer} {pr}x{pc} ({args.engine}), {report.wall_s:.3f}s "
+            f"{args.trainer} {pr}x{pc}, {report.wall_s:.3f}s "
             f"wall, {report.ticks} ticks @ {report.hz:g}Hz"
         )
         artifacts["collapsed"] = f"{out}/collapsed.txt"
@@ -1995,7 +1973,7 @@ def _run_profile(args) -> int:
             "schema": "repro.cli.profile/v1",
             "trainer": args.trainer,
             "grid": {"pr": pr, "pc": pc},
-            "engine": args.engine,
+            "engine": "event",
             "steps": steps,
             "report": report.to_dict(),
             "attribution_ok": attribution_ok,

@@ -208,25 +208,17 @@ class SDCGuard:
             self.monitor.inc("recomputed")
 
 
-def make_guard(
-    sdc, monitor: Optional[SDCMonitor] = None, *, single_thread: bool = False
-) -> Optional[SDCGuard]:
+def make_guard(sdc, monitor: Optional[SDCMonitor] = None) -> Optional[SDCGuard]:
     """Coerce a trainer's ``sdc`` argument to a guard (or ``None``).
 
     Accepts ``None`` (guards off), a mode string (``"detect"`` /
     ``"correct"`` / ``"recompute"``), an :class:`~repro.simmpi.sdc.SDCPolicy`,
     or a ready-made :class:`SDCGuard` (shared across ranks).
-
-    ``single_thread=True`` (used under the event engine backend, where
-    only one rank tasklet runs at a time) builds the shared monitor in
-    its lock-free mode; counts are identical either way.
     """
     if sdc is None or sdc is False:
         return None
     if isinstance(sdc, SDCGuard):
         return sdc
-    if monitor is None and single_thread:
-        monitor = SDCMonitor(single_thread=True)
     return SDCGuard(as_policy(sdc), monitor=monitor)
 
 

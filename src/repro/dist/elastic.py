@@ -38,7 +38,7 @@ stale state.  See ``docs/CHECKPOINT.md``.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -599,7 +599,7 @@ def elastic_mlp_train(
     trace: bool = False,
     metrics=None,
     timeout: float = 30.0,
-    engine: Optional[Union[SimEngine, str]] = None,
+    engine: Optional[SimEngine] = None,
     profile=None,
 ) -> ElasticResult:
     """Train elastically on a supervised ``pr x pc`` simulation.
@@ -612,9 +612,7 @@ def elastic_mlp_train(
     parity chunks per stripe, i.e. the number of *concurrent* rank
     losses every striped checkpoint survives bit-exactly.
     ``sdc`` enables ABFT guards against injected bit flips.
-    ``engine`` selects the scheduler backend: ``None``/``"thread"``
-    (OS threads) or ``"event"`` (single-threaded discrete-event, same
-    results, far cheaper at scale) — or pass a prebuilt supervised
+    ``engine`` optionally supplies a prebuilt supervised
     :class:`~repro.simmpi.engine.SimEngine` of the right size.
     ``profile`` optionally runs the simulation under a host-time
     :class:`~repro.profile.ProfileSession` (observability only —
@@ -664,7 +662,7 @@ def elastic_mlp_train(
             schedule=schedule,
             lr_schedule=lr_schedule,
             machine=engine.network.machine,
-            sdc=make_guard(sdc, single_thread=engine.backend == "event"),
+            sdc=make_guard(sdc),
         )
     losses, weights, grids, restores, degraded, restored, store = result.values[
         result.survivors[0]

@@ -18,7 +18,7 @@ multiple grid shapes.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -423,17 +423,16 @@ def distributed_cnn_train(
     machine=None,
     trace: bool = False,
     metrics=None,
-    engine: Optional[Union[SimEngine, str]] = None,
+    engine: Optional[SimEngine] = None,
     sdc=None,
     profile=None,
 ) -> Tuple[CNNParams, List[float], SimResult]:
     """Integrated training on a ``pr x pc`` grid; returns full params.
 
     ``pr`` partitions image rows for the convolutions and FC weight rows
-    for the dense layers; ``pc`` shards the batch.  ``engine`` selects
-    the scheduler backend (``"thread"``/``"event"``) or supplies a
-    prebuilt :class:`~repro.simmpi.engine.SimEngine`.  ``profile``
-    optionally runs the simulation under a host-time
+    for the dense layers; ``pc`` shards the batch.  ``engine``
+    optionally supplies a prebuilt :class:`~repro.simmpi.engine.SimEngine`.
+    ``profile`` optionally runs the simulation under a host-time
     :class:`~repro.profile.ProfileSession` (results are bit-identical
     with or without it).
     """
@@ -461,7 +460,7 @@ def distributed_cnn_train(
             weight_decay=weight_decay,
             schedule=schedule,
             lr_schedule=lr_schedule,
-            sdc=make_guard(sdc, single_thread=engine.backend == "event"),
+            sdc=make_guard(sdc),
         )
     # Conv weights are replicated (take rank 0's); FC weights reassemble
     # from the r-row blocks of column 0.

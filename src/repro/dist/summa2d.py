@@ -95,7 +95,7 @@ def summa_stationary_c(
     panels = BlockPartition(k, steps)
     m_i = a_rows.size(grid.row)
     n_j = b_local.shape[1]
-    guard = make_guard(sdc, single_thread=grid.comm.engine.backend == "event")
+    guard = make_guard(sdc)
     c_local = np.zeros((m_i, n_j), dtype=np.result_type(a_local, b_local))
     with span("summa", comm=grid.comm, pr=pr, pc=pc), payload_guard(guard):
         for t in range(steps):
@@ -172,8 +172,7 @@ def summa_train(
 
     The 2D baseline counterpart of
     :func:`~repro.dist.train.distributed_mlp_train`: ``engine`` may be a
-    backend name (``"thread"``/``"event"``) or a prebuilt
-    :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks, and
+    prebuilt :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks, and
     ``profile`` optionally runs the multiply under a host-time
     :class:`~repro.profile.ProfileSession` (results are bit-identical
     with or without it).  Returns ``(c_full, sim_result, engine)`` so

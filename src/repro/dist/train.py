@@ -12,7 +12,7 @@ integration tests assert precisely this.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -261,7 +261,7 @@ def distributed_mlp_train(
     machine=None,
     trace: bool = False,
     metrics=None,
-    engine: Optional[Union[SimEngine, str]] = None,
+    engine: Optional[SimEngine] = None,
     profile=None,
 ) -> Tuple[List[np.ndarray], List[float], SimResult]:
     """Train on a simulated ``pr x pc`` grid; returns full weights, losses, run.
@@ -270,12 +270,10 @@ def distributed_mlp_train(
     every rank); the weights are reassembled from the rank blocks.
     ``metrics`` optionally attaches a
     :class:`~repro.telemetry.metrics.MetricsRegistry` as the engine's
-    streaming event sink.  ``engine`` may be a backend name
-    (``"thread"``/``"event"`` — see ``docs/SIMMPI.md``; results are
-    bit-identical, the event backend simulates large grids far faster)
-    or a prebuilt :class:`~repro.simmpi.engine.SimEngine` with
-    ``pr * pc`` ranks, which lets callers keep the tracer handle — e.g.
-    to build a :class:`~repro.analysis.record.RunRecord` afterwards.
+    streaming event sink.  ``engine`` may be a prebuilt
+    :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks, which
+    lets callers keep the tracer handle — e.g. to build a
+    :class:`~repro.analysis.record.RunRecord` afterwards.
     ``sdc`` turns on the ABFT guards (see :func:`mlp_train_program`).
     ``profile`` optionally runs the training under a host-time
     :class:`~repro.profile.ProfileSession` (observability only: values,
@@ -285,7 +283,7 @@ def distributed_mlp_train(
         raise ConfigurationError("batch must be an integer")
     engine = resolve_engine(engine, pr * pc, machine, trace=trace, metrics=metrics)
     # One shared guard so all ranks aggregate into the same sdc.* counters.
-    guard = make_guard(sdc, single_thread=engine.backend == "event")
+    guard = make_guard(sdc)
     with maybe_profile(profile):
         result = engine.run(
             mlp_train_program,

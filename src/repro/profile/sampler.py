@@ -6,7 +6,7 @@ thread's stack via ``sys._current_frames()``, and attributes the tick:
 * Threads whose innermost frame is a known blocking site (parked
   tasklets, condition waits, joins — see
   :mod:`repro.profile.attribution`) are *idle* and skipped without
-  walking their stacks, so a P=512 event-backend run costs ~P cheap
+  walking their stacks, so a P=512 run costs ~P cheap
   innermost-frame checks plus one full stack walk per tick.
 * Each tick carries exactly **one** weight unit.  If no thread is
   busy the unit goes to ``handoff`` while an engine run is in
@@ -15,9 +15,7 @@ thread's stack via ``sys._current_frames()``, and attributes the tick:
   otherwise; if threads are busy it is split evenly over their
   stacks.  Host time per subsystem is then
   ``wall_s * weight / ticks``, so the attribution rows sum to the
-  measured wall-clock *by construction*.  (Under the GIL at most one
-  thread executes Python at any instant, so one unit per tick is the
-  honest model for the threaded backend too.)
+  measured wall-clock *by construction*.
 
 Known bias: an in-process sampler can only take the GIL when the
 simulator releases it, and on a single-core host those release points
@@ -27,8 +25,8 @@ hosts the sampler runs on its own core and the bias largely
 disappears.  The counter-derived metrics (all-in µs/msg, switch and
 message counts) are exact either way; see ``docs/PROFILE.md``.
 * Each sample is correlated with the registered engine's current
-  virtual time (the running tasklet's clock on the event backend, the
-  max clock on the threaded one) and the busy thread's active
+  virtual time (the running tasklet's clock, or the max clock between
+  runs) and the busy thread's active
   telemetry span (via the sampling registry in
   :mod:`repro.telemetry.spans`).
 

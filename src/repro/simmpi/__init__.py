@@ -2,7 +2,8 @@
 
 The paper's algorithms (1.5D layer products, halo exchanges, ring
 all-reduce, Bruck all-gather) are *executable* here, not just costed:
-rank programs run as real threads exchanging real NumPy buffers, while a
+rank programs run as tasklets of a single-threaded discrete-event
+scheduler, exchanging real NumPy buffers, while a
 latency-bandwidth ("postal") timing model advances a per-rank virtual
 clock — a message of ``n`` bytes posted at sender time ``t`` becomes
 available at ``t + alpha + beta * n``, and a receive advances the

@@ -14,15 +14,12 @@ alias each other's buffers; arrival times follow the postal model of
 from __future__ import annotations
 
 import copy
-import threading
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import (
     CommunicatorError,
-    DeadlockError,
     PeerFailedError,
     SDCDetectedError,
     TransientCommError,
@@ -39,68 +36,7 @@ from repro.simmpi.sdc import (
 )
 from repro.simmpi.tracing import TraceEvent
 
-__all__ = ["Comm", "Mailbox", "Request"]
-
-# How often blocked receives poll the engine's abort flag (wall seconds).
-_POLL_INTERVAL = 0.05
-
-
-class Mailbox:
-    """Matching buffers for in-flight messages, keyed by (ctx, src, dst, tag)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._queues: Dict[Tuple, Deque[Tuple[Any, float]]] = {}
-
-    def post(self, key: Tuple, payload: Any, arrival: float) -> None:
-        with self._cond:
-            self._queues.setdefault(key, deque()).append((payload, arrival))
-            self._cond.notify_all()
-
-    def kick(self) -> None:
-        """Wake every blocked receiver (so interrupts surface promptly)."""
-        with self._cond:
-            self._cond.notify_all()
-
-    def peek(self, key: Tuple) -> bool:
-        """Non-destructive match probe (used by ``Request.test``).
-
-        Both mailbox implementations (this one and the event backend's
-        :class:`~repro.simmpi.events.EventMailbox`) expose the same
-        probe so non-blocking requests work identically under either
-        engine backend.
-        """
-        with self._cond:
-            return bool(self._queues.get(key))
-
-    def take(self, key: Tuple, timeout: float, interrupt) -> Tuple[Any, float]:
-        """Block until a message matches ``key``; honour interrupts and timeouts.
-
-        ``interrupt()`` returns ``None`` to keep waiting or the exception
-        to raise instead (peer failure, run abort).
-        """
-        deadline = timeout
-        waited = 0.0
-        with self._cond:
-            while True:
-                queue = self._queues.get(key)
-                if queue:
-                    payload, arrival = queue.popleft()
-                    if not queue:
-                        del self._queues[key]
-                    return payload, arrival
-                exc = interrupt()
-                if exc is not None:
-                    raise exc
-                if waited >= deadline:
-                    raise DeadlockError(
-                        f"receive on {key} timed out after {timeout:.1f}s "
-                        "(likely an unmatched send/recv pair)"
-                    )
-                self._cond.wait(_POLL_INTERVAL)
-                waited += _POLL_INTERVAL
-
+__all__ = ["Comm", "Request"]
 
 class Request:
     """Handle for a non-blocking operation (mpi4py-style).
@@ -142,7 +78,7 @@ class Request:
         engine = comm._engine
         t0 = comm.clock
         payload, arrival = engine.mailbox.take(
-            self._key, engine.timeout, comm._interrupt_for(self._key[1])
+            self._key, comm._interrupt_for(self._key[1])
         )
         h = _profile_hooks.ACTIVE
         if h is not None:
@@ -450,7 +386,7 @@ class Comm:
         key = (self._ctx, src_world, self._world_rank, tag)
         t0 = self.clock
         payload, arrival = self._engine.mailbox.take(
-            key, self._engine.timeout, self._interrupt_for(src_world)
+            key, self._interrupt_for(src_world)
         )
         h = _profile_hooks.ACTIVE
         if h is not None:

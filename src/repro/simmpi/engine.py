@@ -2,16 +2,11 @@
 
 :class:`SimEngine` runs one rank program per world rank, hands each a
 :class:`~repro.simmpi.communicator.Comm`, and tracks per-rank virtual
-clocks under the postal network model.  Two backends execute the rank
-programs (see ``docs/SIMMPI.md``):
-
-* ``backend="thread"`` — one free-running OS thread per rank,
-  serialised by locks and condition variables (the original design);
-* ``backend="event"`` — a single-threaded discrete-event scheduler
-  (:mod:`repro.simmpi.events`) in which exactly one rank tasklet runs
-  at a time over a virtual-time priority queue.  Bit-identical results,
-  clocks, and canonical traces, at ~10x the scheduling throughput —
-  the backend that makes the paper's P=512..16384 grids simulable.
+clocks under the postal network model.  Rank programs run on a
+single-threaded discrete-event scheduler (:mod:`repro.simmpi.events`,
+see ``docs/SIMMPI.md``): exactly one rank tasklet runs at a time over a
+virtual-time priority queue, which is what makes the paper's
+P=512..16384 grids simulable and every run deterministic.
 
 By default rank failures abort the whole run (raising
 :class:`~repro.errors.RankFailedError` with every original exception)
@@ -29,9 +24,8 @@ over the survivors and continue the run.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple, Union
 
 from repro.profile import hooks as _profile_hooks
 
@@ -43,7 +37,8 @@ from repro.errors import (
     SimulatedCrashError,
 )
 from repro.machine.params import MachineParams
-from repro.simmpi.communicator import Comm, Mailbox
+from repro.simmpi.communicator import Comm
+from repro.simmpi.events import EventCore
 from repro.simmpi.faults import FaultInjector, FaultPlan
 from repro.simmpi.network import PostalNetwork
 from repro.simmpi.tracing import TraceEvent, Tracer
@@ -95,8 +90,9 @@ class SimEngine:
     machine:
         Latency/bandwidth parameters (defaults to the paper's Cori-KNL).
     timeout:
-        Wall-clock seconds a blocked receive waits before declaring a
-        deadlock.
+        Seconds quoted in the diagnosis of a deadlocked receive.  The
+        scheduler detects deadlocks exactly (no runnable tasklet and no
+        due interrupt), so this never costs wall-clock time.
     trace:
         Record every message as a :class:`~repro.simmpi.tracing.TraceEvent`
         (see :attr:`tracer`).
@@ -117,14 +113,11 @@ class SimEngine:
         Optional cap on stored trace events (ring-buffer semantics; see
         :class:`~repro.simmpi.tracing.Tracer`).
     backend:
-        ``"thread"`` (default) or ``"event"`` — how rank programs are
-        executed.  Both produce bit-identical values, clocks, and
-        canonical traces; the event backend is single-threaded (one
-        rank tasklet runnable at a time) and roughly an order of
-        magnitude faster to schedule, so prefer it for large grids.
+        Must be ``"event"``, the only scheduler (accepted so callers
+        that name it keep working).
     """
 
-    BACKENDS = ("thread", "event")
+    BACKENDS = ("event",)
 
     def __init__(
         self,
@@ -137,7 +130,7 @@ class SimEngine:
         supervise: bool = False,
         metrics: Optional[Any] = None,
         max_trace_events: Optional[int] = None,
-        backend: str = "thread",
+        backend: str = "event",
     ) -> None:
         if size < 1:
             raise ConfigurationError(f"engine size must be >= 1, got {size}")
@@ -145,17 +138,17 @@ class SimEngine:
             raise ConfigurationError(f"timeout must be positive, got {timeout}")
         if backend not in self.BACKENDS:
             raise ConfigurationError(
-                f"unknown engine backend {backend!r}; expected one of {self.BACKENDS}"
+                f"unknown engine backend {backend!r}; the only backend is 'event'"
             )
         self.size = size
-        self.backend = backend
         if isinstance(faults, FaultPlan):
             faults = FaultInjector(faults)
         self.injector: Optional[FaultInjector] = faults
         self.network = PostalNetwork(machine, injector=self.injector)
         self.timeout = timeout
         self.supervise = supervise
-        self.mailbox = Mailbox()
+        # The running scheduler's mailbox (kept after a run ends).
+        self.mailbox = None
         self.metrics = metrics
         sink = metrics.observe_event if metrics is not None else None
         self.tracer = Tracer(
@@ -163,37 +156,26 @@ class SimEngine:
             max_events=max_trace_events,
             sink=sink,
             store=trace,
-            # Single-threaded backend: exactly one tasklet runs at a
-            # time, so per-event locking is pure overhead (satellite:
-            # lock-free single-thread mode).
-            threadsafe=(backend != "event"),
         )
-        if self.injector is not None and backend == "event":
-            self.injector.set_single_thread(True)
         self._clocks = [0.0] * size
-        self._clock_lock = threading.Lock()
-        self._abort = threading.Event()
-        self._coord_lock = threading.Lock()
-        self._coord_cond = threading.Condition(self._coord_lock)
+        self._abort = False
         self._coord_store: Dict[Tuple, Dict[int, Any]] = {}
         self._coord_reads: Dict[Tuple, int] = {}
-        self._fault_lock = threading.Lock()
-        self._recovery = threading.Event()
+        self._recovery = False
         self._dead: Set[int] = set()
         self._fail_gen = 0
         self._crash_failures: Dict[int, BaseException] = {}
         # Per-rank communicator generation state.  A rank's entry is only
-        # ever written by its own thread; readers tolerate (monotone)
-        # staleness.  ``_rank_gen[r]`` is the generation r currently
-        # operates in; while r is inside ``shrink`` its ``_rank_target[r]``
-        # names the generation it is moving to and ``_rank_recovering[r]``
-        # is True.
+        # ever written by its own tasklet.  ``_rank_gen[r]`` is the
+        # generation r currently operates in; while r is inside ``shrink``
+        # its ``_rank_target[r]`` names the generation it is moving to and
+        # ``_rank_recovering[r]`` is True.
         self._rank_gen = [0] * size
         self._rank_target = [0] * size
         self._rank_recovering = [False] * size
-        # Event backend: the per-run scheduler core (None outside runs
-        # and for the threaded backend), plus a test hook permuting
-        # tasklet spawn order (results must be independent of it).
+        # The per-run scheduler core (None outside runs), plus a test
+        # hook permuting tasklet spawn order (results must be
+        # independent of it).
         self._event_core = None
         self._spawn_order: Optional[Sequence[int]] = None
         # Host-side observability of the last run(): wall-clock seconds
@@ -209,9 +191,6 @@ class SimEngine:
         return self._clocks[world_rank]
 
     def advance_clock(self, world_rank: int, seconds: float) -> None:
-        # Each rank only ever writes its own clock, so no lock is needed
-        # for the update itself; reads by other ranks happen only at
-        # coordination points.
         self._clocks[world_rank] += seconds
 
     def sync_clock(self, world_rank: int, at_least: float) -> None:
@@ -219,20 +198,19 @@ class SimEngine:
             self._clocks[world_rank] = at_least
 
     def aborted(self) -> bool:
-        return self._abort.is_set()
+        return self._abort
 
     # -- fault supervision ---------------------------------------------------
 
     def dead_ranks(self) -> Tuple[int, ...]:
-        with self._fault_lock:
-            return tuple(sorted(self._dead))
+        return tuple(sorted(self._dead))
 
     def survivors(self) -> Tuple[int, ...]:
         dead = set(self.dead_ranks())
         return tuple(r for r in range(self.size) if r not in dead)
 
     def in_recovery(self) -> bool:
-        return self._recovery.is_set()
+        return self._recovery
 
     def peer_generation(self, rank: int) -> int:
         """The communicator generation ``rank`` has (or is moving to).
@@ -249,9 +227,7 @@ class SimEngine:
         """``rank`` declares it is abandoning generations below ``target_gen``."""
         self._rank_target[rank] = target_gen
         self._rank_recovering[rank] = True
-        self.mailbox.kick()
-        with self._coord_cond:
-            self._coord_cond.notify_all()
+        self._event_core.note_state_change()
 
     def mark_recovered(self, rank: int, new_gen: int) -> None:
         """``rank`` finished its shrink and now operates in ``new_gen``."""
@@ -269,12 +245,11 @@ class SimEngine:
         :class:`~repro.errors.PeerFailedError` exactly when ``src`` can
         provably never satisfy it: ``src`` is dead, or has moved (or is
         moving) to a newer generation.  Because that condition depends
-        only on ``src``'s own deterministic execution — never on
-        wall-clock races — every rank's interruption point is a pure
-        function of the program and the fault plan, which is what makes
-        supervised runs replayable.
+        only on ``src``'s own deterministic execution, every rank's
+        interruption point is a pure function of the program and the
+        fault plan, which is what makes supervised runs replayable.
         """
-        if self._abort.is_set():
+        if self._abort:
             return DeadlockError(
                 f"rank {world_rank} interrupted: another rank failed"
             )
@@ -298,28 +273,23 @@ class SimEngine:
             self.injector.check_crash(
                 world_rank, step=step, time=self._clocks[world_rank]
             )
-        if self._abort.is_set():
+        if self._abort:
             raise DeadlockError(
                 f"rank {world_rank} interrupted: another rank failed"
             )
 
     def _register_crash(self, world_rank: int, exc: SimulatedCrashError) -> None:
-        with self._fault_lock:
-            self._dead.add(world_rank)
-            self._fail_gen += 1
-            self._crash_failures[world_rank] = exc
+        self._dead.add(world_rank)
+        self._fail_gen += 1
+        self._crash_failures[world_rank] = exc
         t = self._clocks[world_rank]
         self.tracer.record(TraceEvent(world_rank, "fault.crash", -1, 0, t, t))
-        self._recovery.set()
-        self.mailbox.kick()
-        with self._coord_cond:
-            self._coord_cond.notify_all()
+        self._recovery = True
+        self._event_core.note_state_change()
 
     def begin_shrink(self) -> Tuple[int, Tuple[int, ...]]:
         """Snapshot (failure generation, survivor set) for a shrink attempt."""
-        with self._fault_lock:
-            survivors = tuple(r for r in range(self.size) if r not in self._dead)
-            return self._fail_gen, survivors
+        return self._fail_gen, self.survivors()
 
     def end_shrink(self, gen: int) -> None:
         """Clear the recovery flag once a shrink at generation ``gen`` holds.
@@ -327,9 +297,8 @@ class SimEngine:
         Idempotent; a further crash (which bumps the generation) keeps
         the recovery flag set so survivors go around again.
         """
-        with self._fault_lock:
-            if self._fail_gen == gen:
-                self._recovery.clear()
+        if self._fail_gen == gen:
+            self._recovery = False
 
     # -- metadata coordination (Comm.split / Comm.shrink) --------------------
 
@@ -353,37 +322,7 @@ class SimEngine:
         using the same deterministic peer-state rule as blocked
         receives.
         """
-        if self._event_core is not None:
-            return self._event_core.coordinate(ctx, world_rank, value, participants, gen)
-        n = len(participants)
-        with self._coord_cond:
-            store = self._coord_store.setdefault(ctx, {})
-            store[world_rank] = value
-            self._coord_cond.notify_all()
-            waited = 0.0
-            while len(self._coord_store.get(ctx, ())) < n:
-                if self._abort.is_set():
-                    raise RankFailedError({world_rank: RuntimeError("aborted during split")})
-                if self.supervise:
-                    present = self._coord_store.get(ctx, {})
-                    for p in participants:
-                        if p == world_rank or p in present:
-                            continue
-                        if p in self._dead or self.peer_generation(p) > gen:
-                            raise PeerFailedError(self.dead_ranks() or (p,))
-                if waited >= self.timeout:
-                    missing = set(participants) - set(self._coord_store.get(ctx, {}))
-                    raise ConfigurationError(
-                        f"split coordination on {ctx} timed out; missing ranks {sorted(missing)}"
-                    )
-                self._coord_cond.wait(0.05)
-                waited += 0.05
-            result = dict(self._coord_store[ctx])
-            self._coord_reads[ctx] = self._coord_reads.get(ctx, 0) + 1
-            if self._coord_reads[ctx] == n:
-                del self._coord_store[ctx]
-                del self._coord_reads[ctx]
-        return result
+        return self._event_core.coordinate(ctx, world_rank, value, participants, gen)
 
     # -- running -------------------------------------------------------------
 
@@ -402,16 +341,17 @@ class SimEngine:
         cleared), so a rerun replays the same fault plan identically.
         """
         self._clocks = [0.0] * self.size
-        self._abort.clear()
-        self._recovery.clear()
+        self._abort = False
+        self._recovery = False
         self._dead = set()
         self._fail_gen = 0
         self._crash_failures: Dict[int, BaseException] = {}
         self._rank_gen = [0] * self.size
         self._rank_target = [0] * self.size
         self._rank_recovering = [False] * self.size
-        # A fresh mailbox and coordination store: messages left in flight
-        # by an interrupted previous run must not leak into this one.
+        # A fresh coordination store (and, via the fresh scheduler core, a
+        # fresh mailbox): messages left in flight by an interrupted
+        # previous run must not leak into this one.
         self._coord_store = {}
         self._coord_reads = {}
         if self.injector is not None:
@@ -424,72 +364,36 @@ class SimEngine:
             profile_hooks.note_run_start(self)
         t_host_start = perf_counter()
         try:
-            if self.backend == "event":
-                from repro.simmpi.events import EventCore
-
-                core = EventCore(self)
-                self._event_core = core
-                self.mailbox = core.mailbox
-                try:
-                    results, failures = core.run(
-                        fn, args, kwargs, spawn_order=self._spawn_order
-                    )
-                finally:
-                    self._event_core = None
-                    if profile_hooks is not None:
-                        profile_hooks.note_switches(core.switches)
-                return self._finish(results, failures)
-            self.mailbox = Mailbox()
-            results: List[Any] = [None] * self.size
-            failures: Dict[int, BaseException] = {}
-
-            def worker(rank: int) -> None:
-                comm = self.world_comm(rank)
-                try:
-                    results[rank] = fn(comm, *args, **kwargs)
-                except SimulatedCrashError as exc:
-                    if self.supervise:
-                        self._register_crash(rank, exc)
-                    else:
-                        failures[rank] = exc
-                        self._abort.set()
-                except BaseException as exc:  # noqa: BLE001 - reported to caller
-                    failures[rank] = exc
-                    self._abort.set()
-
-            threads = [
-                threading.Thread(target=worker, args=(rank,), name=f"simmpi-rank-{rank}", daemon=True)
-                for rank in range(self.size)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            return self._finish(results, failures)
+            core = EventCore(self)
+            self._event_core = core
+            self.mailbox = core.mailbox
+            try:
+                results, failures = core.run(
+                    fn, args, kwargs, spawn_order=self._spawn_order
+                )
+            finally:
+                self._event_core = None
+                if profile_hooks is not None:
+                    profile_hooks.note_switches(core.switches)
+            if failures:
+                failures.update(self._crash_failures)
+                raise RankFailedError(failures)
+            if self._crash_failures and len(self._dead) == self.size:
+                # Nobody survived to carry the run forward.
+                raise RankFailedError(self._crash_failures)
+            return SimResult(
+                values=tuple(results),
+                clocks=tuple(self._clocks),
+                failed=tuple(sorted(self._dead)),
+            )
         finally:
             self.last_host_wall_s = perf_counter() - t_host_start
             if profile_hooks is not None:
                 profile_hooks.note_run_end(self)
 
-    def _finish(
-        self, results: List[Any], failures: Dict[int, BaseException]
-    ) -> SimResult:
-        """Shared run epilogue: fold in crashes, build the result."""
-        if failures:
-            failures.update(self._crash_failures)
-            raise RankFailedError(failures)
-        if self._crash_failures and len(self._dead) == self.size:
-            # Nobody survived to carry the run forward.
-            raise RankFailedError(self._crash_failures)
-        return SimResult(
-            values=tuple(results),
-            clocks=tuple(self._clocks),
-            failed=tuple(sorted(self._dead)),
-        )
-
 
 def resolve_engine(
-    engine: Optional[Union["SimEngine", str]],
+    engine: Optional["SimEngine"],
     size: int,
     machine: Optional[MachineParams] = None,
     *,
@@ -502,21 +406,17 @@ def resolve_engine(
 ) -> "SimEngine":
     """Coerce a trainer's ``engine`` argument to a ready :class:`SimEngine`.
 
-    ``engine`` may be ``None`` (build a threaded engine, the historical
-    default), a backend name (``"thread"``/``"event"`` — build an
-    engine with that backend and the supplied configuration), or a
-    prebuilt :class:`SimEngine` (validated against ``size`` and
-    returned as-is; the other keyword arguments are then ignored, since
-    the caller already configured the engine).  This is how ``engine=``
-    plumbs through the four trainers and the CLI without each call site
-    re-implementing the coercion.
+    ``engine`` may be ``None`` (build an engine from the supplied
+    configuration) or a prebuilt :class:`SimEngine`, which is returned
+    as-is once it is checked against ``size`` and against every setting
+    the caller asked for: a prebuilt engine cannot honour ``faults``
+    without a fault injector, ``trace=True`` without storing a trace, or
+    a ``metrics`` sink that is not its own, so each of those raises
+    :class:`~repro.errors.ConfigurationError` instead of being silently
+    dropped.  This is how ``engine=`` plumbs through the four trainers
+    without each call site re-implementing the coercion.
     """
-    if engine is None or isinstance(engine, str):
-        if engine is not None and engine not in SimEngine.BACKENDS:
-            raise ConfigurationError(
-                f"unknown engine backend {engine!r}; valid backends: "
-                + ", ".join(SimEngine.BACKENDS)
-            )
+    if engine is None:
         return SimEngine(
             size,
             machine,
@@ -526,10 +426,28 @@ def resolve_engine(
             supervise=supervise,
             timeout=timeout,
             max_trace_events=max_trace_events,
-            backend=engine or "thread",
+        )
+    if not isinstance(engine, SimEngine):
+        raise ConfigurationError(
+            f"engine must be None or a prebuilt SimEngine, got {engine!r}"
         )
     if engine.size != size:
         raise ConfigurationError(
             f"engine has {engine.size} ranks, grid needs {size}"
+        )
+    if faults is not None and engine.injector is None:
+        raise ConfigurationError(
+            "faults were given but the prebuilt engine has no fault injector; "
+            "build it with SimEngine(..., faults=...)"
+        )
+    if trace and not (engine.tracer.enabled and engine.tracer.store):
+        raise ConfigurationError(
+            "trace=True but the prebuilt engine does not store a trace; "
+            "build it with SimEngine(..., trace=True)"
+        )
+    if metrics is not None and engine.metrics is not metrics:
+        raise ConfigurationError(
+            "metrics sink is not the prebuilt engine's; "
+            "build it with SimEngine(..., metrics=...)"
         )
     return engine

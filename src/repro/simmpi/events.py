@@ -1,12 +1,10 @@
-"""Discrete-event backend for the simulated MPI runtime.
+"""Discrete-event scheduler of the simulated MPI runtime.
 
-The threaded backend of :class:`~repro.simmpi.engine.SimEngine` gives
-every rank a free-running OS thread and serialises them with locks and
-condition-variable polls; the scheduler cost (~20-50us per message on
-one core) caps simulated grids at tens of ranks.  This module provides
-the ``backend="event"`` alternative: rank programs become *tasklets*
-driven by a single-threaded discrete-event scheduler over a virtual-time
-priority queue, with exactly one tasklet runnable at any instant.
+:class:`~repro.simmpi.engine.SimEngine` runs every rank program as a
+*tasklet* driven by this single-threaded discrete-event scheduler over a
+virtual-time priority queue, with exactly one tasklet runnable at any
+instant.  Scheduling cost is a few microseconds per blocking operation
+regardless of the rank count, which is what makes P=1024+ grids routine.
 
 Tasklets are parked OS threads, not generators or greenlets: each rank
 still executes its unmodified, synchronous program (including
@@ -26,12 +24,12 @@ Combined with the Kahn-network discipline of the mailbox — sends are
 eager and deep-copied, receives FIFO-match per ``(ctx, src, dst, tag)``
 key — every run of the same program and fault plan yields bit-identical
 values, clocks, and canonical traces, independent of rank spawn order
-and identical to the threaded backend (which is deterministic for the
-same reason, just slower).  Deadlocks cannot wait on wall-clock
-timeouts here; instead, when no tasklet is runnable and no interrupt
+(``tests/golden/backend_matrix.json`` pins them).  Deadlocks never wait
+on wall-clock timeouts: when no tasklet is runnable and no interrupt
 predicate fires, the blocked tasklet with the smallest
 ``(virtual clock, rank)`` is chosen as the deterministic victim and
-receives the same timeout exception the threaded backend would raise.
+receives a :class:`~repro.errors.DeadlockError` quoting the engine's
+``timeout``.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ class _Task:
         "wait_participants",
         "wait_gen",
         "block_clock",
-        "thread",
+        "os_thread",
     )
 
     def __init__(self, rank: int) -> None:
@@ -113,16 +111,15 @@ class _Task:
         self.wait_participants: Optional[Sequence[int]] = None
         self.wait_gen = 0
         self.block_clock = 0.0
-        self.thread: Optional[threading.Thread] = None
+        self.os_thread: Optional[threading.Thread] = None
 
 
 class EventMailbox:
-    """Single-threaded mailbox: plain dicts, waiters woken by the scheduler.
+    """Matching buffers for in-flight messages, keyed by (ctx, src, dst, tag).
 
-    Mirrors :class:`~repro.simmpi.communicator.Mailbox` semantics (same
-    ``post``/``take``/``kick``/``peek`` surface, same queue-first /
-    interrupt-second check order in ``take``) without any locks: only
-    one tasklet runs at a time, so the structures are never contended.
+    Plain dicts without locks (only one tasklet runs at a time); a
+    receive that finds no message parks its tasklet as the key's unique
+    waiter, and ``post`` delivers straight to it.
     """
 
     __slots__ = ("_core", "_queues")
@@ -145,15 +142,16 @@ class EventMailbox:
             q = self._queues[key] = deque()
         q.append((payload, arrival))
 
-    def kick(self) -> None:
-        """Re-evaluate every blocked tasklet's interrupt predicate."""
-        self._core.note_state_change()
-
     def peek(self, key: Tuple) -> bool:
         """Non-destructive match probe (used by ``Request.test``)."""
         return bool(self._queues.get(key))
 
-    def take(self, key: Tuple, timeout: float, interrupt) -> Tuple[Any, float]:
+    def take(self, key: Tuple, interrupt) -> Tuple[Any, float]:
+        """The next message matching ``key``, parking until one arrives.
+
+        ``interrupt()`` returns ``None`` to keep waiting or the exception
+        to raise instead (peer failure, run abort).
+        """
         q = self._queues.get(key)
         if q:
             item = q.popleft()
@@ -169,10 +167,9 @@ class EventMailbox:
 class EventCore:
     """One discrete-event run: scheduler, run queue, and waiter tables.
 
-    Built fresh by :meth:`SimEngine.run` for each ``backend="event"``
-    execution; reads and writes the engine's shared state (clocks, fault
-    supervision, coordination stores) exactly like the threaded workers
-    do, so both backends share one semantic substrate.
+    Built fresh by :meth:`SimEngine.run` for each execution; reads and
+    writes the engine's shared state (clocks, fault supervision,
+    coordination stores).
     """
 
     def __init__(self, engine) -> None:
@@ -222,13 +219,13 @@ class EventCore:
                 pass
             for rank in order:
                 task = self.tasks[rank]
-                task.thread = threading.Thread(
+                task.os_thread = threading.Thread(
                     target=self._task_main,
                     args=(task, fn, args, kwargs, results, failures),
                     name=f"simmpi-ev-{rank}",
                     daemon=True,
                 )
-                task.thread.start()
+                task.os_thread.start()
         finally:
             try:
                 threading.stack_size(old_stack)
@@ -237,7 +234,7 @@ class EventCore:
         self._dispatch()  # hand the baton to the first tasklet
         self._main_gate.wait()  # until every tasklet is done
         for task in self.tasks:
-            task.thread.join()
+            task.os_thread.join()
         return results, failures
 
     def _task_main(
@@ -259,11 +256,11 @@ class EventCore:
                 engine._register_crash(task.rank, exc)
             else:
                 failures[task.rank] = exc
-                engine._abort.set()
+                engine._abort = True
                 self.note_state_change()
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             failures[task.rank] = exc
-            engine._abort.set()
+            engine._abort = True
             self.note_state_change()
         finally:
             task.status = _DONE
@@ -351,13 +348,11 @@ class EventCore:
     def note_state_change(self) -> None:
         """Crash, recovery declaration, or abort: re-check all waiters.
 
-        The event-backend analogue of ``Mailbox.kick`` plus the
-        coordination condition broadcast: every blocked receive
-        re-evaluates its interruption predicate and every blocked
-        coordination re-checks its failure conditions, waking exactly
-        those whose exception is now due.  Runs synchronously in the
-        current tasklet (no control transfer), so it is safe to call
-        from any engine state mutation.
+        Every blocked receive re-evaluates its interruption predicate and
+        every blocked coordination re-checks its failure conditions,
+        waking exactly those whose exception is now due.  Runs
+        synchronously in the current tasklet (no control transfer), so
+        it is safe to call from any engine state mutation.
         """
         for key, task in list(self._recv_waiters.items()):
             exc = task.wait_interrupt()
@@ -380,12 +375,11 @@ class EventCore:
     def _coord_failure(self, task: _Task) -> Optional[BaseException]:
         """The exception a blocked coordination should raise now, if any.
 
-        Mirrors the in-loop checks of the threaded
-        :meth:`SimEngine.coordinate` exactly (same conditions, same
-        exception values).
+        The same conditions, and exception values, that
+        :meth:`coordinate` checks before parking.
         """
         engine = self.engine
-        if engine._abort.is_set():
+        if engine._abort:
             return RankFailedError({task.rank: RuntimeError("aborted during split")})
         if engine.supervise:
             present = engine._coord_store.get(task.wait_ctx, {})
@@ -399,15 +393,13 @@ class EventCore:
     def _resolve_stall(self) -> None:
         """No runnable tasklet: fire due interrupts, else pick a victim.
 
-        Replaces the threaded backend's wall-clock timeouts.  First
-        every blocked tasklet's interrupt/failure predicate is
+        First every blocked tasklet's interrupt/failure predicate is
         re-evaluated (a crash may have been registered by the last
         tasklet to run without an intervening state-change note).  If
         nothing fires, the stall is a genuine deadlock: the blocked
         tasklet with the smallest ``(virtual clock, rank)`` receives the
-        same timeout exception its threaded counterpart would raise; its
-        failure then aborts the run, which interrupts the remaining
-        blocked tasklets on the next pass.
+        timeout diagnosis; its failure then aborts the run, which
+        interrupts the remaining blocked tasklets on the next pass.
         """
         engine = self.engine
         blocked = [t for t in self.tasks if t.status == _BLOCKED]
@@ -472,13 +464,12 @@ class EventCore:
         participants: Sequence[int],
         gen: int = 0,
     ) -> Dict[int, Any]:
-        """Event-backend :meth:`SimEngine.coordinate`.
+        """:meth:`SimEngine.coordinate`: deposit, wait for all, read.
 
-        Same deposit/read/garbage-collection protocol and failure
-        conditions as the threaded version, but waiters suspend on the
-        scheduler and are woken only when the exchange completes or a
-        relevant state change lands — O(participants) tasklet switches
-        per exchange instead of a herd wakeup per deposit.
+        Waiters suspend on the scheduler and are woken only when the
+        exchange completes or a relevant state change lands —
+        O(participants) tasklet switches per exchange.  The entry is
+        garbage collected once every participant has read it.
         """
         engine = self.engine
         task = self.tasks[world_rank]
@@ -488,7 +479,7 @@ class EventCore:
         if len(store) >= n:
             self._complete_coord(ctx)
         while len(engine._coord_store.get(ctx, ())) < n:
-            if engine._abort.is_set():
+            if engine._abort:
                 raise RankFailedError({world_rank: RuntimeError("aborted during split")})
             if engine.supervise:
                 present = engine._coord_store.get(ctx, {})

@@ -99,9 +99,7 @@ class PostalNetwork:
         Optional fault injector supplying per-link degradation windows.
 
     Timing answers are pure functions of their arguments (no mutable
-    state beyond the injector's memo cache), so both engine backends —
-    threaded and discrete-event — share one network instance without
-    synchronisation.
+    state beyond the injector's memo cache).
     """
 
     __slots__ = ("machine", "injector")

@@ -100,31 +100,22 @@ def as_policy(spec) -> Optional[SDCPolicy]:
 class SDCMonitor:
     """``sdc.*`` counters, shared by all ranks of one run.
 
-    Thread-safe by default; pass ``single_thread=True`` under the
-    single-threaded event backend to elide the per-increment lock
-    (counts are identical either way — a lock-free regression test
-    pins this down).
+    Holds no lock: the engine runs exactly one rank tasklet at a time.
     """
 
     COUNTERS = ("injected", "detected", "corrected", "recomputed", "escaped")
 
-    def __init__(self, *, single_thread: bool = False) -> None:
-        from repro.simmpi.tracing import NullLock
-
-        self._lock = NullLock() if single_thread else threading.Lock()
+    def __init__(self) -> None:
         self._counts: Dict[str, int] = {name: 0 for name in self.COUNTERS}
 
     def inc(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self._counts[name] += n
+        self._counts[name] += n
 
     def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
     def __getitem__(self, name: str) -> int:
-        with self._lock:
-            return self._counts[name]
+        return self._counts[name]
 
 
 class GuardedPayload:

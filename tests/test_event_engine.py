@@ -1,13 +1,10 @@
-"""Property tests for the discrete-event simmpi backend.
+"""Property tests for the discrete-event simmpi scheduler.
 
 Hypothesis drives the scheduler through randomized communication
-patterns and checks the invariants the backend's determinism contract
+patterns and checks the invariants the engine's determinism contract
 rests on: per-rank virtual time never runs backwards, deadlock
 detection still fires on any unmatched receive, and results are
-independent of both tasklet spawn order and repetition.  The lock
-elision used in single-thread mode (``Tracer(threadsafe=False)``,
-``SDCMonitor(single_thread=True)``) is regression-tested for identical
-observable output.
+independent of both tasklet spawn order and repetition.
 """
 
 import threading
@@ -18,8 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeadlockError, RankFailedError
 from repro.simmpi.engine import SimEngine
-from repro.simmpi.sdc import SDCMonitor
-from repro.simmpi.tracing import NullLock, TraceEvent, Tracer
 
 
 def _ring_program(comm, rounds, payload):
@@ -139,69 +134,6 @@ def test_scheduler_switch_counter_advances():
 def test_rejects_unknown_backend():
     from repro.errors import ConfigurationError
 
-    with pytest.raises(ConfigurationError):
-        SimEngine(2, backend="fibers")
-
-
-# ---------------------------------------------------------------------------
-# lock elision regression: identical observable output
-# ---------------------------------------------------------------------------
-
-
-def _sample_events(n=50):
-    return [
-        TraceEvent(rank=i % 3, op="send", peer=(i + 1) % 3, nbytes=8 * i,
-                   t_start=float(i), t_end=float(i) + 0.5, tag=("t", i))
-        for i in range(n)
-    ]
-
-
-def test_tracer_lock_elision_output_unchanged():
-    locked = Tracer(enabled=True)
-    lockfree = Tracer(enabled=True, threadsafe=False)
-    assert isinstance(lockfree._lock, NullLock)
-    for ev in _sample_events():
-        locked.record(ev)
-        lockfree.record(ev)
-    assert locked.events == lockfree.events
-    assert locked.canonical() == lockfree.canonical()
-    assert locked.by_rank() == lockfree.by_rank()
-    assert locked.dropped == lockfree.dropped == 0
-
-
-def test_tracer_lock_elision_with_cap_and_sink():
-    seen = []
-    locked = Tracer(enabled=True, max_events=10)
-    lockfree = Tracer(enabled=True, max_events=10, threadsafe=False,
-                      sink=seen.append)
-    events = _sample_events(25)
-    for ev in events:
-        locked.record(ev)
-        lockfree.record(ev)
-    assert locked.events == lockfree.events
-    assert locked.dropped == lockfree.dropped == 15
-    assert seen == events  # the sink sees everything, cap or not
-
-
-def test_sdc_monitor_lock_elision_counts_unchanged():
-    locked = SDCMonitor()
-    lockfree = SDCMonitor(single_thread=True)
-    assert isinstance(lockfree._lock, NullLock)
-    for name, times in (("injected", 4), ("detected", 3), ("corrected", 2)):
-        for _ in range(times):
-            locked.inc(name)
-            lockfree.inc(name)
-    assert locked.snapshot() == lockfree.snapshot()
-
-
-def test_traced_run_identical_with_and_without_locks():
-    """End-to-end: an event-backend run (lock-free tracer) produces the
-    same canonical trace as a threaded run (locked tracer)."""
-    results, traces = {}, {}
-    for backend in ("thread", "event"):
-        engine = SimEngine(3, backend=backend, trace=True)
-        results[backend] = engine.run(_ring_program, 2, 4)
-        assert engine.tracer.threadsafe == (backend != "event")
-        traces[backend] = engine.tracer.canonical()
-    assert results["thread"].values == results["event"].values
-    assert traces["thread"] == traces["event"]
+    for name in ("fibers", "thread"):
+        with pytest.raises(ConfigurationError, match="'event'"):
+            SimEngine(2, backend=name)

@@ -1,7 +1,7 @@
 """Tests for the host-time self-profiler (``repro.profile``).
 
 The headline invariant — profiling never changes the run — is checked
-bitwise on both engine backends; the rest covers session lifecycle,
+bitwise; the rest covers session lifecycle,
 attribution arithmetic (rows sum to wall by construction), the hook
 counters, the exporters, the v5 RunRecord host block, and the
 ``resolve_engine`` coercion the CLI and trainers share.
@@ -19,6 +19,7 @@ from repro.analysis.record import (
     RunRecord,
     validate_run_record,
 )
+from repro.dist.elastic import elastic_mlp_train
 from repro.dist.summa2d import summa_train
 from repro.dist.train import MLPParams, distributed_mlp_train, mlp_run_record
 from repro.errors import ConfigurationError, ShapeError
@@ -38,16 +39,18 @@ from repro.profile import hooks as profile_hooks
 from repro.profile.export import PPROF_SCHEMA
 from repro.profile.sampler import Sampler
 from repro.simmpi.engine import SimEngine, resolve_engine
+from repro.simmpi.faults import Crash, FaultPlan
+from repro.telemetry.metrics import MetricsRegistry
 
 DIMS = (12, 10, 6)
 
 
-def _train(backend, profile=None, trace=False, steps=2):
+def _train(profile=None, trace=False, steps=2, backend="event"):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((DIMS[0], 16))
     y = rng.integers(0, DIMS[-1], 16)
     params0 = MLPParams.init(DIMS, seed=1)
-    engine = SimEngine(4, backend=backend, trace=trace)
+    engine = SimEngine(4, trace=trace, backend=backend)
     weights, losses, sim = distributed_mlp_train(
         params0, x, y, pr=2, pc=2, batch=8, steps=steps,
         engine=engine, profile=profile,
@@ -58,10 +61,10 @@ def _train(backend, profile=None, trace=False, steps=2):
 class TestBitIdentity:
     """Profiling is observability-only: outputs are bit-identical."""
 
-    @pytest.mark.parametrize("backend", ["thread", "event"])
+    @pytest.mark.parametrize("backend", SimEngine.BACKENDS)
     def test_profiled_equals_unprofiled(self, backend):
-        w0, l0, s0, e0 = _train(backend, trace=True)
-        w1, l1, s1, e1 = _train(backend, profile=ProfileSession(), trace=True)
+        w0, l0, s0, e0 = _train(trace=True, backend=backend)
+        w1, l1, s1, e1 = _train(profile=ProfileSession(), trace=True, backend=backend)
         assert l0 == l1
         assert s0.clocks == s1.clocks
         assert all(a.tobytes() == b.tobytes() for a, b in zip(w0, w1))
@@ -116,7 +119,7 @@ class TestSessionLifecycle:
 
 @pytest.fixture(scope="module")
 def profiled():
-    """One profiled traced event-backend run, shared across report tests.
+    """One profiled traced run, shared across report tests.
 
     The trailing sleep is idle host time *inside* the profiled window:
     it guarantees the sampler lands ticks even when the training run
@@ -124,7 +127,7 @@ def profiled():
     """
     session = ProfileSession(hz=499)
     with session:
-        out = _train("event", trace=True, steps=3)
+        out = _train(trace=True, steps=3)
         time.sleep(0.08)
     return session, out
 
@@ -201,7 +204,7 @@ class TestHostBlock:
         assert host_block(SimEngine(2)) == {}
 
     def test_wall_only_for_unprofiled_run(self):
-        _, _, _, engine = _train("event")
+        _, _, _, engine = _train()
         block = host_block(engine)
         assert set(block) == {"wall_s"}
         assert block["wall_s"] > 0
@@ -335,16 +338,18 @@ class TestResolveEngine:
             resolve_engine("gpu", 4)
         msg = str(err.value)
         assert "'gpu'" in msg
-        assert "thread" in msg and "event" in msg
+        assert "None or a prebuilt SimEngine" in msg
 
     @pytest.mark.parametrize("name", ["thread", "event"])
-    def test_backend_names_coerce(self, name):
-        engine = resolve_engine(name, 4)
-        assert isinstance(engine, SimEngine)
-        assert engine.backend == name and engine.size == 4
+    def test_backend_string_raises(self, name):
+        with pytest.raises(ConfigurationError, match="prebuilt SimEngine"):
+            resolve_engine(name, 4)
 
-    def test_none_builds_threaded_default(self):
-        assert resolve_engine(None, 3).backend == "thread"
+    def test_none_builds_event_engine(self):
+        engine = resolve_engine(None, 3, trace=True, faults=FaultPlan())
+        assert isinstance(engine, SimEngine) and engine.size == 3
+        assert engine.tracer.store and engine.injector is not None
+        assert engine.run(lambda comm: comm.rank).values == (0, 1, 2)
 
     def test_prebuilt_engine_passes_through(self):
         engine = SimEngine(4, backend="event")
@@ -354,23 +359,55 @@ class TestResolveEngine:
         with pytest.raises(ConfigurationError):
             resolve_engine(SimEngine(4), 6)
 
+    def test_prebuilt_without_injector_rejects_faults(self):
+        x, y = np.ones((DIMS[0], 16)), np.zeros(16, dtype=int)
+        plan = FaultPlan(crashes=(Crash(rank=1, at_step=2),))
+        with pytest.raises(ConfigurationError, match="fault injector"):
+            elastic_mlp_train(
+                MLPParams.init(DIMS, seed=1), x, y, pr=2, pc=2, batch=8,
+                steps=3, faults=plan, engine=SimEngine(4),
+            )
+        engine = SimEngine(4, faults=plan, supervise=True)
+        assert resolve_engine(engine, 4, faults=plan) is engine
+
+    def test_prebuilt_untraced_rejects_trace(self):
+        x, y = np.ones((DIMS[0], 16)), np.zeros(16, dtype=int)
+        for engine in (SimEngine(4), SimEngine(4, metrics=MetricsRegistry())):
+            with pytest.raises(ConfigurationError, match="store a trace"):
+                distributed_mlp_train(
+                    MLPParams.init(DIMS, seed=1), x, y, pr=2, pc=2, batch=8,
+                    steps=1, trace=True, engine=engine,
+                )
+        engine = SimEngine(4, trace=True)
+        assert resolve_engine(engine, 4, trace=True) is engine
+
+    def test_prebuilt_rejects_foreign_metrics(self):
+        mine = MetricsRegistry()
+        with pytest.raises(ConfigurationError, match="metrics sink"):
+            resolve_engine(SimEngine(4), 4, metrics=mine)
+        with pytest.raises(ConfigurationError, match="metrics sink"):
+            resolve_engine(SimEngine(4, metrics=MetricsRegistry()), 4, metrics=mine)
+        engine = SimEngine(4, metrics=mine)
+        assert resolve_engine(engine, 4, metrics=mine) is engine
+
 
 class TestSummaTrain:
     def _ab(self):
         rng = np.random.default_rng(0)
         return rng.standard_normal((8, 12)), rng.standard_normal((12, 6))
 
-    @pytest.mark.parametrize("backend", ["thread", "event"])
+    @pytest.mark.parametrize("backend", SimEngine.BACKENDS)
     def test_matches_numpy(self, backend):
         a, b = self._ab()
-        c, sim, engine = summa_train(a, b, pr=2, pc=2, engine=backend)
-        assert engine.backend == backend
+        engine = SimEngine(4, backend=backend)
+        c, sim, used = summa_train(a, b, pr=2, pc=2, engine=engine)
+        assert used is engine
         np.testing.assert_allclose(c, a @ b, rtol=1e-12, atol=1e-12)
 
     def test_profiled_bit_identical(self):
         a, b = self._ab()
-        c0, s0, e0 = summa_train(a, b, pr=2, pc=2, engine="event", trace=True)
-        c1, s1, e1 = summa_train(a, b, pr=2, pc=2, engine="event", trace=True,
+        c0, s0, e0 = summa_train(a, b, pr=2, pc=2, trace=True)
+        c1, s1, e1 = summa_train(a, b, pr=2, pc=2, trace=True,
                                  profile=ProfileSession())
         assert c0.tobytes() == c1.tobytes()
         assert s0.clocks == s1.clocks

@@ -1,19 +1,13 @@
 """Scale smoke tests: 1.5D training at P=512 and P=1024.
 
-The discrete-event backend exists precisely so simulations of this size
-are routine: one OS thread per rank stops scaling long before 1024
-ranks, while the event scheduler runs these grids in seconds on one
-core.  Each test runs a full telemetry-enabled, fault-injected 1.5D
+The discrete-event scheduler exists precisely so simulations of this
+size are routine: it runs these grids in seconds on one core.  Each test runs a full telemetry-enabled, fault-injected 1.5D
 training step and asserts a generous wall-clock budget — the point is
 to catch pathological scheduler regressions (quadratic wakeups,
 lock-convoy behavior), not to be a benchmark; the calibrated gates
 live in ``benchmarks/bench_simmpi.py``.
-
-The threaded equivalents are skipped by default (they take minutes and
-prove nothing new); set ``REPRO_SLOW=1`` to run them.
 """
 
-import os
 import time
 
 import numpy as np
@@ -23,15 +17,10 @@ from repro.dist.train import MLPParams, distributed_mlp_train
 from repro.simmpi.engine import SimEngine
 from repro.simmpi.faults import FaultPlan, LinkFault, Straggler
 
-slow = pytest.mark.skipif(
-    not os.environ.get("REPRO_SLOW"),
-    reason="threaded scale runs take minutes; set REPRO_SLOW=1 to include them",
-)
-
 RNG = np.random.default_rng(0)
 
 
-def _scale_run(pr, pc, backend, steps=1):
+def _scale_run(pr, pc, steps=1):
     dims = (64, max(64, pr), pr)
     batch = pc * 2
     x = RNG.standard_normal((dims[0], 2 * batch))
@@ -47,7 +36,7 @@ def _scale_run(pr, pc, backend, steps=1):
             ),
         ),
     )
-    engine = SimEngine(pr * pc, backend=backend, trace=True, faults=plan)
+    engine = SimEngine(pr * pc, trace=True, faults=plan)
     t0 = time.monotonic()
     _, losses, sim = distributed_mlp_train(
         params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps, engine=engine
@@ -65,23 +54,12 @@ def _scale_run(pr, pc, backend, steps=1):
 
 @pytest.mark.parametrize("pr,pc", [(16, 32)], ids=["P512"])
 def test_event_backend_p512_under_budget(pr, pc):
-    wall = _scale_run(pr, pc, "event")
+    wall = _scale_run(pr, pc)
     assert wall < 60.0, f"P={pr*pc} event-backend step took {wall:.1f}s"
 
 
 @pytest.mark.parametrize("pr,pc", [(32, 32)], ids=["P1024"])
 def test_event_backend_p1024_under_budget(pr, pc):
-    wall = _scale_run(pr, pc, "event")
+    wall = _scale_run(pr, pc)
     assert wall < 120.0, f"P={pr*pc} event-backend step took {wall:.1f}s"
 
-
-@slow
-@pytest.mark.parametrize("pr,pc", [(16, 32)], ids=["P512"])
-def test_thread_backend_p512(pr, pc):
-    _scale_run(pr, pc, "thread")
-
-
-@slow
-@pytest.mark.parametrize("pr,pc", [(32, 32)], ids=["P1024"])
-def test_thread_backend_p1024(pr, pc):
-    _scale_run(pr, pc, "thread")

@@ -124,10 +124,12 @@ class TestTracerScalability:
     def test_sink_sees_dropped_events(self):
         seen = []
         tr = Tracer(enabled=True, max_events=1, sink=seen.append)
-        for i in range(4):
-            tr.record(TraceEvent(0, "send", 1, i, 0.0, 0.0))
-        assert len(seen) == 4  # the sink streams everything
-        assert len(tr.events) == 1
+        events = [TraceEvent(0, "send", 1, i, 0.0, 0.0) for i in range(4)]
+        for ev in events:
+            tr.record(ev)
+        assert seen == events  # the sink streams everything, in order
+        assert tr.events == (events[-1],)
+        assert tr.dropped == 3
 
     def test_store_false_keeps_nothing(self):
         seen = []
