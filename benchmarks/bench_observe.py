@@ -1,9 +1,9 @@
 """Monitor-overhead gate for the live health monitor.
 
-Runs the same 1.5D MLP training job twice — once bare, once with a
-:class:`~repro.observe.health.HealthMonitor` attached as the engine's
-streaming event sink — and gates the monitored/bare makespan ratio
-against the committed baseline in ``benchmarks/BENCH_observe.json``.
+Runs the shared 2x2 MLP job (``gate_mlp.py``) twice — once bare, once
+with a :class:`~repro.observe.health.HealthMonitor` attached as the
+engine's streaming event sink — and gates the monitored/bare makespan
+ratio against the committed baseline in ``benchmarks/BENCH_observe.json``.
 Both makespans are *virtual* seconds from the simulator's postal model,
 and the monitor is observability-only (it never touches virtual
 clocks), so the expected ratio is exactly ``1.0``; the committed
@@ -14,79 +14,36 @@ losses and makespan must be bit-identical to the bare run's, and the
 monitor must actually have seen the run (one heartbeat per rank per
 step).
 
-Exit-code convention (same as ``repro bench`` / ``repro diff``):
-
-* ``0`` — overhead within the ceiling, run bit-identical, heartbeats seen.
-* ``1`` — regression (``REGRESSION: ...`` on stderr).
-* ``2`` — configuration error (unreadable/mismatched baseline).
-
-Refresh the baseline after an intentional change with::
-
-    python benchmarks/bench_observe.py --update-baseline
+Flags and exit codes are :mod:`repro.gate`'s.
 """
 
-import argparse
-import json
 import os
-import sys
 
-import numpy as np
+from gate_mlp import CONFIG, train
 
-BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_observe.json")
-BENCH_SCHEMA = "repro.observe.bench/v1"
+from repro.gate import Check, Gate
 
 # Observation must be free in virtual time: heartbeats are zero-duration
 # trace events and the rule engine runs on host threads only.
 MAX_OVERHEAD = 1.05
 
-CONFIG = {
-    "dims": [24, 16, 10],
-    "pr": 2,
-    "pc": 2,
-    "batch": 16,
-    "steps": 3,
-    "seed": 0,
-    "machine": "cori-knl",
-}
-
 
 def run_observe_bench() -> dict:
-    """Measure monitored vs bare virtual makespan; return a record."""
-    from repro.dist.train import MLPParams, distributed_mlp_train
+    """Measure monitored vs bare virtual makespan."""
     from repro.observe.health import HealthMonitor
-    from repro.simmpi.engine import SimEngine
 
-    dims = tuple(CONFIG["dims"])
-    rng = np.random.default_rng(CONFIG["seed"])
-    x = rng.standard_normal((dims[0], 4 * CONFIG["batch"]))
-    y = rng.integers(0, dims[-1], 4 * CONFIG["batch"])
-    params0 = MLPParams.init(dims, seed=1)
-
-    def one(monitor):
-        engine = SimEngine(
-            CONFIG["pr"] * CONFIG["pc"], None, trace=True, metrics=monitor
-        )
-        weights, losses, sim = distributed_mlp_train(
-            params0, x, y, pr=CONFIG["pr"], pc=CONFIG["pc"],
-            batch=CONFIG["batch"], steps=CONFIG["steps"], engine=engine,
-        )
-        return weights, losses, sim.time
-
-    bare_w, bare_l, bare_s = one(None)
+    bare_w, bare_l, bare_sim, _ = train()
     monitor = HealthMonitor()
-    mon_w, mon_l, mon_s = one(monitor)
+    mon_w, mon_l, mon_sim, _ = train(metrics=monitor)
     monitor.finish()
-    # One end-of-step heartbeat per rank per step must reach the monitor.
-    heartbeats = CONFIG["pr"] * CONFIG["pc"] * CONFIG["steps"]
-    seen = monitor.heartbeats_seen
+    bare_s, mon_s = bare_sim.time, mon_sim.time
     return {
-        "schema": BENCH_SCHEMA,
-        "config": CONFIG,
         "bare_s": bare_s,
         "monitored_s": mon_s,
         "overhead": mon_s / bare_s,
-        "heartbeats": seen,
-        "expected_heartbeats": heartbeats,
+        "heartbeats": monitor.heartbeats_seen,
+        # One end-of-step heartbeat per rank per step must reach the monitor.
+        "expected_heartbeats": CONFIG["pr"] * CONFIG["pc"] * CONFIG["steps"],
         "identical": (
             all(a.tobytes() == b.tobytes() for a, b in zip(mon_w, bare_w))
             and list(mon_l) == list(bare_l)
@@ -97,79 +54,39 @@ def run_observe_bench() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default=BASELINE_PATH)
-    parser.add_argument("--update-baseline", action="store_true")
-    parser.add_argument(
-        "--tolerance", type=float, default=0.0,
-        help="extra slack on the committed overhead ceiling (fraction)",
-    )
-    args = parser.parse_args(argv)
+def summary(record):
+    yield "config", record["config"]
+    yield "bare", f"{record['bare_s']:.6f} virtual s"
+    yield "monitored", (f"{record['monitored_s']:.6f} virtual s "
+                        f"({record['heartbeats']} heartbeats observed)")
+    yield "overhead", f"{record['overhead']:.4f}x"
 
-    if args.tolerance < 0:
-        print("bench gate error: tolerance must be >= 0", file=sys.stderr)
-        return 2
 
-    record = run_observe_bench()
-    print(f"config   : {record['config']}")
-    print(f"bare     : {record['bare_s']:.6f} virtual s")
-    print(f"monitored: {record['monitored_s']:.6f} virtual s "
-          f"({record['heartbeats']} heartbeats observed)")
-    print(f"overhead : {record['overhead']:.4f}x")
-
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"baseline : updated {args.baseline}")
-        return 0
-
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read baseline {args.baseline!r}: {exc}", file=sys.stderr)
-        return 2
-    if baseline.get("schema") != BENCH_SCHEMA:
-        print(f"bad baseline schema {baseline.get('schema')!r}", file=sys.stderr)
-        return 2
-    if baseline.get("config") != record["config"]:
-        print("baseline config does not match this benchmark's config; "
-              "re-run with --update-baseline", file=sys.stderr)
-        return 2
-
-    failures = []
-    if not record["identical"]:
-        failures.append(
-            "monitored run diverged bitwise from the bare run "
-            "(weights, losses or makespan changed under observation)"
-        )
-    ceiling = float(baseline["max_overhead"]) * (1.0 + args.tolerance)
-    if record["overhead"] > ceiling:
-        failures.append(
-            f"monitor overhead {record['overhead']:.4f}x exceeds the "
-            f"committed ceiling {ceiling:.4f}x"
-        )
-    if record["heartbeats"] < record["expected_heartbeats"]:
-        failures.append(
-            f"monitor saw {record['heartbeats']} heartbeats, expected at "
-            f"least {record['expected_heartbeats']} "
-            "(one per rank per step; did a trainer stop emitting?)"
-        )
-    if failures:
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    print(f"gate     : PASS (ceiling {ceiling:.4f}x, "
-          f"baseline {baseline['overhead']:.4f}x)")
-    return 0
+GATE = Gate(
+    "repro.observe.bench/v1",
+    checks=(
+        Check("flag", "identical",
+              "monitored run diverged bitwise from the bare run "
+              "(weights, losses or makespan changed under observation)"),
+        Check("ceiling", "overhead",
+              "monitor overhead {value:.4f}x exceeds the committed ceiling "
+              "{limit:.4f}x", "max_overhead"),
+        Check("at_least", "heartbeats",
+              "monitor saw {value} heartbeats, expected at least {limit} "
+              "(one per rank per step; did a trainer stop emitting?)",
+              "expected_heartbeats"),
+    ),
+    config=CONFIG,
+    measure=run_observe_bench,
+    summary=summary,
+    baseline=os.path.join(os.path.dirname(__file__), "BENCH_observe.json"),
+)
 
 
 def test_observe_monitor_overhead_gate():
     """Tier-2 hook so `pytest benchmarks/bench_observe.py` runs the gate."""
-    assert main([]) == 0
+    assert GATE.main([]) == 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(GATE.main())

@@ -22,28 +22,16 @@ Three claims are gated against the committed baseline in
    and an unprofiled run of the same program must produce identical
    weights, losses, virtual clocks, and canonical traces.
 
-Exit-code convention (same as the other ``BENCH_*`` gates):
-
-* ``0`` — all gates pass.
-* ``1`` — regression (``REGRESSION: ...`` on stderr).
-* ``2`` — configuration error (unreadable/mismatched baseline).
-
-Refresh the baseline after an intentional change with::
-
-    python benchmarks/bench_profile.py --update-baseline
+Flags and exit codes are :mod:`repro.gate`'s.
 """
 
-import argparse
-import json
 import os
 import statistics
-import sys
 import time
 
 import numpy as np
 
-BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_profile.json")
-BENCH_SCHEMA = "repro.profile.bench/v1"
+from repro.gate import Check, Gate
 
 REPS = 5
 
@@ -163,8 +151,6 @@ def run_profile_bench() -> dict:
         for r in reports
     )
     return {
-        "schema": BENCH_SCHEMA,
-        "config": CONFIG,
         "overhead_ratio": ratio,
         "overhead_ratio_reps": pair_ratios,
         "sampler_busy_frac": sampler_frac,
@@ -177,93 +163,49 @@ def run_profile_bench() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default=BASELINE_PATH)
-    parser.add_argument("--update-baseline", action="store_true")
-    parser.add_argument(
-        "--tolerance", type=float, default=0.0,
-        help="extra slack on the committed gates (fraction)",
-    )
-    args = parser.parse_args(argv)
-    if args.tolerance < 0:
-        print("bench gate error: tolerance must be >= 0", file=sys.stderr)
-        return 2
+def summary(record):
+    yield "overhead", (
+        f"profiled/bare wall ratio {record['overhead_ratio']:.3f} "
+        f"(reps {[f'{r:.3f}' for r in record['overhead_ratio_reps']]})")
+    yield "sampler", (f"busy fraction {record['sampler_busy_frac']:.2%} "
+                      f"of wall (budget {record['budget']:.0%})")
+    yield "message path", (f"{record['us_per_msg_allin']:.1f} µs/msg all-in "
+                           "(wall / msgs, counter-exact)")
+    yield "attribution", (f"{'PASS' if record['attribution_ok'] else 'FAIL'} "
+                          "(rows sum to wall within 10%)")
+    yield "identity", "PASS" if record["identical"] else "FAIL"
 
-    record = run_profile_bench()
-    print(f"overhead    : profiled/bare wall ratio {record['overhead_ratio']:.3f} "
-          f"(reps {[f'{r:.3f}' for r in record['overhead_ratio_reps']]})")
-    print(f"sampler     : busy fraction {record['sampler_busy_frac']:.2%} "
-          f"of wall (budget {record['budget']:.0%})")
-    print(f"message path: {record['us_per_msg_allin']:.1f} µs/msg all-in "
-          "(wall / msgs, counter-exact)")
-    print(f"attribution : {'PASS' if record['attribution_ok'] else 'FAIL'} "
-          "(rows sum to wall within 10%)")
-    print(f"identity    : {'PASS' if record['identical'] else 'FAIL'}")
 
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"baseline    : updated {args.baseline}")
-        return 0
-
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read baseline {args.baseline!r}: {exc}", file=sys.stderr)
-        return 2
-    if baseline.get("schema") != BENCH_SCHEMA:
-        print(f"bad baseline schema {baseline.get('schema')!r}", file=sys.stderr)
-        return 2
-    if baseline.get("config") != record["config"]:
-        print("baseline config does not match this benchmark's config; "
-              "re-run with --update-baseline", file=sys.stderr)
-        return 2
-
-    failures = []
-    ceiling_ratio = float(baseline["ceiling_overhead_ratio"]) * (1.0 + args.tolerance)
-    if record["overhead_ratio"] > ceiling_ratio:
-        failures.append(
-            f"profiler overhead ratio {record['overhead_ratio']:.3f} exceeds "
-            f"the committed ceiling {ceiling_ratio:.3f}"
-        )
-    budget = float(baseline["budget"]) * (1.0 + args.tolerance)
-    if record["sampler_busy_frac"] > budget:
-        failures.append(
-            f"sampler busy fraction {record['sampler_busy_frac']:.2%} exceeds "
-            f"the budget {budget:.2%}"
-        )
-    ceiling_msg = float(baseline["ceiling_us_per_msg"]) * (1.0 + args.tolerance)
-    if record["us_per_msg_allin"] > ceiling_msg:
-        failures.append(
-            f"all-in per-message host cost {record['us_per_msg_allin']:.1f}µs "
-            f"exceeds the committed ceiling {ceiling_msg:.1f}µs"
-        )
-    if not record["attribution_ok"]:
-        failures.append(
-            "attribution rows no longer sum to the measured wall-clock "
-            "within 10%"
-        )
-    if not record["identical"]:
-        failures.append(
-            "profiled run diverged bitwise from the unprofiled run "
-            "(values, clocks, or canonical trace)"
-        )
-    if failures:
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    print(f"gate        : PASS (ratio <= {ceiling_ratio:.3f}, "
-          f"busy <= {budget:.2%}, µs/msg <= {ceiling_msg:.0f})")
-    return 0
+GATE = Gate(
+    "repro.profile.bench/v1",
+    checks=(
+        Check("ceiling", "overhead_ratio",
+              "profiler overhead ratio {value:.3f} exceeds the committed "
+              "ceiling {limit:.3f}", "ceiling_overhead_ratio"),
+        Check("ceiling", "sampler_busy_frac",
+              "sampler busy fraction {value:.2%} exceeds the budget {limit:.2%}",
+              "budget"),
+        Check("ceiling", "us_per_msg_allin",
+              "all-in per-message host cost {value:.1f}µs exceeds the "
+              "committed ceiling {limit:.1f}µs", "ceiling_us_per_msg"),
+        Check("flag", "attribution_ok",
+              "attribution rows no longer sum to the measured wall-clock "
+              "within 10%"),
+        Check("flag", "identical",
+              "profiled run diverged bitwise from the unprofiled run "
+              "(values, clocks, or canonical trace)"),
+    ),
+    config=CONFIG,
+    measure=run_profile_bench,
+    summary=summary,
+    baseline=os.path.join(os.path.dirname(__file__), "BENCH_profile.json"),
+)
 
 
 def test_profile_gate():
     """Tier-2 hook so `pytest benchmarks/bench_profile.py` runs the gate."""
-    assert main([]) == 0
+    assert GATE.main([]) == 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(GATE.main())

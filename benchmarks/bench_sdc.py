@@ -1,71 +1,38 @@
 """Guard-overhead gate for the ABFT / SDC defense subsystem.
 
-Runs the same 1.5D MLP training job twice — unguarded and with ABFT
-guards on — and gates the guarded/unguarded makespan ratio against the
-committed baseline in ``benchmarks/BENCH_sdc.json``.  Both makespans
-are *virtual* seconds from the simulator's postal model, so the ratio
-is exactly reproducible: the only guard cost in alpha-beta time is the
-8-byte digest escort on every guarded send (checksum folds are charged
-zero virtual time, matching the cost model's ``abft.checksum_*``
-terms).  The gate also re-asserts the headline invariant that guards
-never change the math: guarded weights must be bit-identical to the
-unguarded run's.
+Runs the shared 2x2 MLP job (``gate_mlp.py``) twice — unguarded and
+with ABFT guards on — and gates the guarded/unguarded makespan ratio
+against the committed baseline in ``benchmarks/BENCH_sdc.json``.  Both
+makespans are *virtual* seconds from the simulator's postal model, so
+the ratio is exactly reproducible: the only guard cost in alpha-beta
+time is the 8-byte digest escort on every guarded send (checksum folds
+are charged zero virtual time, matching the cost model's
+``abft.checksum_*`` terms).  The 1.05x ceiling leaves room for that
+low single-digit-percent tax.  The gate also re-asserts the headline
+invariant that guards never change the math: guarded weights must be
+bit-identical to the unguarded run's, and the digest traffic must match
+the baseline byte for byte.
 
-Exit-code convention (same as ``repro bench`` / ``repro diff``):
-
-* ``0`` — overhead within the committed ceiling, weights bit-identical.
-* ``1`` — regression (``REGRESSION: ...`` on stderr).
-* ``2`` — configuration error (unreadable/mismatched baseline).
-
-Refresh the baseline after an intentional change with::
-
-    python benchmarks/bench_sdc.py --update-baseline
+Flags and exit codes are :mod:`repro.gate`'s.
 """
 
-import argparse
-import json
 import os
-import sys
 
-import numpy as np
+from gate_mlp import CONFIG, train
 
-BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_sdc.json")
-BENCH_SCHEMA = "repro.sdc.bench/v1"
+from repro.gate import Check, Gate
 
 # The committed ceiling on guarded/unguarded makespan.  The 8-byte
 # digest escorts are tiny next to the block payloads they ride with, so
 # the guard tax stays low single-digit percent at this problem size.
 MAX_OVERHEAD = 1.05
 
-CONFIG = {
-    "dims": [24, 16, 10],
-    "pr": 2,
-    "pc": 2,
-    "batch": 16,
-    "steps": 3,
-    "seed": 0,
-    "machine": "cori-knl",
-}
-
 
 def run_sdc_bench() -> dict:
-    """Measure guarded vs unguarded virtual makespan; return a record."""
-    from repro.dist.train import MLPParams, distributed_mlp_train
-    from repro.simmpi.engine import SimEngine
-
-    dims = tuple(CONFIG["dims"])
-    rng = np.random.default_rng(CONFIG["seed"])
-    x = rng.standard_normal((dims[0], 4 * CONFIG["batch"]))
-    y = rng.integers(0, dims[-1], 4 * CONFIG["batch"])
-    params0 = MLPParams.init(dims, seed=1)
+    """Measure guarded vs unguarded virtual makespan."""
 
     def one(sdc):
-        engine = SimEngine(CONFIG["pr"] * CONFIG["pc"], None, trace=True)
-        weights, _, sim = distributed_mlp_train(
-            params0, x, y, pr=CONFIG["pr"], pc=CONFIG["pc"],
-            batch=CONFIG["batch"], steps=CONFIG["steps"],
-            engine=engine, sdc=sdc,
-        )
+        weights, _, sim, engine = train(sdc=sdc)
         guard_bytes = sum(
             e.guard_bytes for e in engine.tracer.canonical() if e.op == "send"
         )
@@ -76,8 +43,6 @@ def run_sdc_bench() -> dict:
     assert plain_guard == 0, "unguarded run must carry no digest traffic"
     assert guard_bytes > 0, "guarded run produced no digest traffic"
     return {
-        "schema": BENCH_SCHEMA,
-        "config": CONFIG,
         "unguarded_s": plain_s,
         "guarded_s": guarded_s,
         "overhead": guarded_s / plain_s,
@@ -89,78 +54,37 @@ def run_sdc_bench() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default=BASELINE_PATH)
-    parser.add_argument("--update-baseline", action="store_true")
-    parser.add_argument(
-        "--tolerance", type=float, default=0.0,
-        help="extra slack on the committed overhead ceiling (fraction)",
-    )
-    args = parser.parse_args(argv)
+def summary(record):
+    yield "config", record["config"]
+    yield "unguarded", f"{record['unguarded_s']:.6f} virtual s"
+    yield "guarded", (f"{record['guarded_s']:.6f} virtual s "
+                      f"({record['guard_bytes']} digest bytes on the wire)")
+    yield "overhead", f"{record['overhead']:.4f}x"
 
-    if args.tolerance < 0:
-        print("bench gate error: tolerance must be >= 0", file=sys.stderr)
-        return 2
 
-    record = run_sdc_bench()
-    print(f"config   : {record['config']}")
-    print(f"unguarded: {record['unguarded_s']:.6f} virtual s")
-    print(f"guarded  : {record['guarded_s']:.6f} virtual s "
-          f"({record['guard_bytes']} digest bytes on the wire)")
-    print(f"overhead : {record['overhead']:.4f}x")
-
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"baseline : updated {args.baseline}")
-        return 0
-
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read baseline {args.baseline!r}: {exc}", file=sys.stderr)
-        return 2
-    if baseline.get("schema") != BENCH_SCHEMA:
-        print(f"bad baseline schema {baseline.get('schema')!r}", file=sys.stderr)
-        return 2
-    if baseline.get("config") != record["config"]:
-        print("baseline config does not match this benchmark's config; "
-              "re-run with --update-baseline", file=sys.stderr)
-        return 2
-
-    failures = []
-    if not record["identical"]:
-        failures.append(
-            "guarded weights diverged bitwise from the unguarded run"
-        )
-    ceiling = float(baseline["max_overhead"]) * (1.0 + args.tolerance)
-    if record["overhead"] > ceiling:
-        failures.append(
-            f"guard overhead {record['overhead']:.4f}x exceeds the "
-            f"committed ceiling {ceiling:.4f}x"
-        )
-    if record["guard_bytes"] != baseline.get("guard_bytes"):
-        failures.append(
-            f"digest traffic changed: {record['guard_bytes']} bytes vs "
-            f"baseline {baseline.get('guard_bytes')} "
-            "(guard coverage grew or shrank; update the baseline if intended)"
-        )
-    if failures:
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    print(f"gate     : PASS (ceiling {ceiling:.4f}x, "
-          f"baseline {baseline['overhead']:.4f}x)")
-    return 0
+GATE = Gate(
+    "repro.sdc.bench/v1",
+    checks=(
+        Check("flag", "identical",
+              "guarded weights diverged bitwise from the unguarded run"),
+        Check("ceiling", "overhead",
+              "guard overhead {value:.4f}x exceeds the committed ceiling "
+              "{limit:.4f}x", "max_overhead"),
+        Check("same", "guard_bytes",
+              "digest traffic changed: {value} bytes vs baseline {limit} "
+              "(guard coverage grew or shrank; update the baseline if intended)"),
+    ),
+    config=CONFIG,
+    measure=run_sdc_bench,
+    summary=summary,
+    baseline=os.path.join(os.path.dirname(__file__), "BENCH_sdc.json"),
+)
 
 
 def test_sdc_guard_overhead_gate():
     """Tier-2 hook so `pytest benchmarks/bench_sdc.py` runs the gate."""
-    assert main([]) == 0
+    assert GATE.main([]) == 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(GATE.main())

@@ -20,19 +20,9 @@ Three claims are gated against the committed baseline in
    reproduce ``tests/golden/backend_matrix.json`` exactly: values,
    final clocks, failed sets, canonical traces and failure messages.
 
-Exit-code convention (same as the other ``BENCH_*`` gates):
-
-* ``0`` — all gates pass.
-* ``1`` — regression (``REGRESSION: ...`` on stderr).
-* ``2`` — configuration error (unreadable/mismatched baseline).
-
-Refresh the baseline after an intentional change with::
-
-    python benchmarks/bench_simmpi.py --update-baseline
+Flags and exit codes are :mod:`repro.gate`'s.
 """
 
-import argparse
-import json
 import os
 import statistics
 import sys
@@ -40,9 +30,9 @@ import time
 
 import numpy as np
 
+from repro.gate import Check, Gate
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_simmpi.json")
-BENCH_SCHEMA = "repro.simmpi.bench/v2"
 
 REPS = 5
 
@@ -134,8 +124,6 @@ def run_simmpi_bench() -> dict:
     wall_large, reps_large = _storm_walls(large["ranks"], large["rounds"])
     scale_wall, scale_ok = _scale_run()
     return {
-        "schema": BENCH_SCHEMA,
-        "config": CONFIG,
         "storm_p64_s": wall_small,
         "storm_p64_reps": reps_small,
         "storm_p512_s": wall_large,
@@ -149,87 +137,45 @@ def run_simmpi_bench() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default=BASELINE_PATH)
-    parser.add_argument("--update-baseline", action="store_true")
-    parser.add_argument(
-        "--tolerance", type=float, default=0.0,
-        help="extra slack on the committed gates (fraction)",
-    )
-    args = parser.parse_args(argv)
-    if args.tolerance < 0:
-        print("bench gate error: tolerance must be >= 0", file=sys.stderr)
-        return 2
-
-    record = run_simmpi_bench()
+def summary(record):
     for key, size in (("p64", "storm_small"), ("p512", "storm_large")):
-        print(f"storm P={CONFIG[size]['ranks']:>4}: "
-              f"median {record[f'storm_{key}_s']:.3f}s "
-              f"(reps {[f'{r:.3f}' for r in record[f'storm_{key}_reps']]})")
-    print(f"scale P=1024: full-telemetry faulted step in "
-          f"{record['scale_wall_s']:.1f}s")
-    print(f"identity    : {'PASS' if record['identical'] else 'FAIL'}")
+        yield f"storm P={CONFIG[size]['ranks']:>4}", (
+            f"median {record[f'storm_{key}_s']:.3f}s "
+            f"(reps {[f'{r:.3f}' for r in record[f'storm_{key}_reps']]})")
+    yield "scale P=1024", (f"full-telemetry faulted step in "
+                           f"{record['scale_wall_s']:.1f}s")
+    yield "identity", "PASS" if record["identical"] else "FAIL"
 
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"baseline    : updated {args.baseline}")
-        return 0
 
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read baseline {args.baseline!r}: {exc}", file=sys.stderr)
-        return 2
-    if baseline.get("schema") != BENCH_SCHEMA:
-        print(f"bad baseline schema {baseline.get('schema')!r}", file=sys.stderr)
-        return 2
-    if baseline.get("config") != record["config"]:
-        print("baseline config does not match this benchmark's config; "
-              "re-run with --update-baseline", file=sys.stderr)
-        return 2
-
-    slack = 1.0 + args.tolerance
-    failures = []
-    ceilings = {}
-    for key, ranks in (("p64", 64), ("p512", 512)):
-        ceilings[key] = float(baseline[f"ceiling_{key}_s"]) * slack
-        if record[f"storm_{key}_s"] > ceilings[key]:
-            failures.append(
-                f"P={ranks} barrier storm took {record[f'storm_{key}_s']:.3f}s "
-                f"(median), over the committed ceiling {ceilings[key]:.3f}s"
-            )
-    ceiling = float(baseline["ceiling_s"]) * slack
-    if record["scale_wall_s"] > ceiling:
-        failures.append(
-            f"P=1024 full-telemetry step took {record['scale_wall_s']:.1f}s, "
-            f"over the committed ceiling {ceiling:.1f}s"
-        )
-    if not record["scale_ok"]:
-        failures.append(
-            "P=1024 run lost its telemetry or clocks (scale sanity failed)"
-        )
-    if not record["identical"]:
-        failures.append(
-            "engine diverged from tests/golden/backend_matrix.json "
-            "(values, clocks, failed sets, canonical traces or failure messages)"
-        )
-    if failures:
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    print(f"gate        : PASS (ceilings {ceilings['p64']:.2f}s / "
-          f"{ceilings['p512']:.2f}s / {ceiling:.0f}s)")
-    return 0
+GATE = Gate(
+    "repro.simmpi.bench/v2",
+    checks=(
+        Check("ceiling", "storm_p64_s",
+              "P=64 barrier storm took {value:.3f}s (median), over the "
+              "committed ceiling {limit:.3f}s", "ceiling_p64_s"),
+        Check("ceiling", "storm_p512_s",
+              "P=512 barrier storm took {value:.3f}s (median), over the "
+              "committed ceiling {limit:.3f}s", "ceiling_p512_s"),
+        Check("ceiling", "scale_wall_s",
+              "P=1024 full-telemetry step took {value:.1f}s, over the "
+              "committed ceiling {limit:.1f}s", "ceiling_s"),
+        Check("flag", "scale_ok",
+              "P=1024 run lost its telemetry or clocks (scale sanity failed)"),
+        Check("flag", "identical",
+              "engine diverged from tests/golden/backend_matrix.json (values, "
+              "clocks, failed sets, canonical traces or failure messages)"),
+    ),
+    config=CONFIG,
+    measure=run_simmpi_bench,
+    summary=summary,
+    baseline=os.path.join(os.path.dirname(__file__), "BENCH_simmpi.json"),
+)
 
 
 def test_simmpi_gate():
     """Tier-2 hook so `pytest benchmarks/bench_simmpi.py` runs the gate."""
-    assert main([]) == 0
+    assert GATE.main([]) == 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(GATE.main())

@@ -585,6 +585,7 @@ def _run_bench(args) -> int:
     import json
 
     from repro.errors import ConfigurationError
+    from repro.gate import read_baseline, write_record
     from repro.search.bench import (
         DEFAULT_BATCH,
         DEFAULT_PROCESSES,
@@ -624,7 +625,7 @@ def _run_bench(args) -> int:
             print(json.dumps(
                 {
                     "schema": "repro.cli.bench/v1",
-                    "record": json.loads(record.to_json()),
+                    "record": record.to_payload(),
                     "gate": gate,
                     "exit_code": code,
                 },
@@ -644,13 +645,11 @@ def _run_bench(args) -> int:
               f"misses, {record.cache_entries} entries")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(record.to_json())
+        write_record(args.out, record.to_payload())
         if not args.json:
             print(f"record  : wrote {args.out}")
     if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            fh.write(record.to_json())
+        write_record(args.baseline, record.to_payload())
         if not args.json:
             print(f"baseline: updated {args.baseline}")
         return emit(0, "baseline-updated")
@@ -658,15 +657,7 @@ def _run_bench(args) -> int:
         return emit(0, "skipped")
 
     try:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = BenchRecord.from_json(fh.read())
-    except OSError as exc:
-        print(f"cannot read baseline {args.baseline!r}: {exc}", file=sys.stderr)
-        return 2
-    except ConfigurationError as exc:
-        print(f"bad baseline {args.baseline!r}: {exc}", file=sys.stderr)
-        return 2
-    try:
+        baseline = BenchRecord.from_payload(read_baseline(args.baseline))
         failures = compare_to_baseline(record, baseline, tolerance=tolerance)
     except ConfigurationError as exc:
         print(f"bench gate error: {exc}", file=sys.stderr)

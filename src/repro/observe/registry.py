@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.results import ResultTable
@@ -52,13 +53,8 @@ __all__ = [
 
 REGISTRY_SCHEMA = "repro.observe.registry/v1"
 
-#: Bench schema tag -> short series name.
-_BENCH_SERIES = {
-    "repro.search.bench": "search",
-    "repro.sdc.bench": "sdc",
-    "repro.checkpoint.bench": "checkpoint",
-    "repro.observe.bench": "observe",
-}
+#: ``repro.<name>.bench/vN``, the schema tag of every bench gate's record.
+_BENCH_SCHEMA = re.compile(r"repro\.(\w+)\.bench/v\d+")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -184,18 +180,16 @@ def entry_from_record(
 def entry_from_bench(payload: Dict[str, Any], source: str = "") -> RegistryEntry:
     """Build the registry entry for one BENCH result dict.
 
-    Recognizes every ``repro.*.bench/v*`` schema; the metrics are the
-    numeric scalar fields of the payload (``overhead``, ``speedup``,
-    ``reduction``, timings, ...), which is exactly what the gates
-    threshold on.
+    Recognizes every ``repro.<name>.bench/vN`` schema and files it under
+    the series ``bench:<name>``; the metrics are the numeric scalar
+    fields of the payload (``overhead``, ``speedup``, ``reduction``,
+    timings, ...), which is exactly what the gates threshold on.
     """
     schema = payload.get("schema", "")
-    family = str(schema).rsplit("/", 1)[0]
-    series = _BENCH_SERIES.get(family)
-    if series is None:
+    match = _BENCH_SCHEMA.fullmatch(str(schema))
+    if match is None:
         raise ConfigurationError(
-            f"unknown bench schema {schema!r}; expected one of "
-            f"{sorted(_BENCH_SERIES)}"
+            f"unknown bench schema {schema!r}; expected repro.<name>.bench/v<N>"
         )
     metrics = {
         key: float(value)
@@ -206,7 +200,7 @@ def entry_from_bench(payload: Dict[str, Any], source: str = "") -> RegistryEntry
         raise ConfigurationError(f"bench payload {schema!r} has no numeric metrics")
     return RegistryEntry(
         kind="bench",
-        series=f"bench:{series}",
+        series=f"bench:{match.group(1)}",
         metrics=metrics,
         source=source,
         meta={"schema": schema},
@@ -218,7 +212,7 @@ def entry_from_payload(payload: Dict[str, Any], source: str = "") -> RegistryEnt
     schema = str(payload.get("schema", "") if isinstance(payload, dict) else "")
     if schema.startswith("repro.analysis.record/"):
         return entry_from_record(payload, source)
-    if schema.rsplit("/", 1)[0] in _BENCH_SERIES:
+    if _BENCH_SCHEMA.fullmatch(schema):
         return entry_from_bench(payload, source)
     raise ConfigurationError(
         f"cannot ingest payload with schema {schema!r} "

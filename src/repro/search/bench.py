@@ -9,9 +9,11 @@ is stable across machines while absolute times are not.  A run fails
 the gate when:
 
 * the engine's points are not bit-identical to the serial ones, or
-* its speedup falls below the hard floor (3x by default), or
+* its speedup falls below the hard floor (3x), or
 * its speedup regresses more than ``tolerance`` (20% by default)
   relative to the committed baseline.
+
+The judging is :mod:`repro.gate`'s, shared with every other bench gate.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.sweep import strong_scaling_curve as _serial_curve
 from repro.errors import ConfigurationError
+from repro.gate import Check, Gate, dumps
 from repro.search.engine import SearchEngine
 from repro.search.sweeps import strong_scaling_curve as _engine_curve
 
@@ -33,6 +36,7 @@ __all__ = [
     "MIN_SPEEDUP",
     "DEFAULT_TOLERANCE",
     "BenchRecord",
+    "GATE",
     "run_search_bench",
     "compare_to_baseline",
 ]
@@ -79,8 +83,8 @@ class BenchRecord:
         return (self.network, float(self.batch), tuple(self.processes),
                 self.dataset_size)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_payload(self) -> dict:
+        return {
             "schema": BENCH_SCHEMA,
             "config": {
                 "network": self.network,
@@ -99,7 +103,9 @@ class BenchRecord:
                 "entries": self.cache_entries,
             },
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def to_json(self) -> str:
+        return dumps(self.to_payload())
 
     @classmethod
     def from_json(cls, text: str) -> "BenchRecord":
@@ -107,6 +113,10 @@ class BenchRecord:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"invalid bench record: {exc}") from exc
+        return cls.from_payload(payload)
+
+    @classmethod
+    def from_payload(cls, payload) -> "BenchRecord":
         if not isinstance(payload, dict) or payload.get("schema") != BENCH_SCHEMA:
             raise ConfigurationError(
                 f"bench record schema must be {BENCH_SCHEMA!r}, "
@@ -200,42 +210,30 @@ def run_search_bench(
     )
 
 
+GATE = Gate(
+    BENCH_SCHEMA,
+    checks=(
+        Check("flag", "identical",
+              "engine results are NOT bit-identical to the serial path"),
+        Check("at_least", "speedup",
+              "speedup {value:.2f}x is below the {limit:g}x floor", MIN_SPEEDUP),
+        Check("floor", "speedup",
+              "speedup {value:.2f}x regressed more than {tol:.0%} from the "
+              "baseline {base:.2f}x (allowed >= {limit:.2f}x)", "speedup"),
+    ),
+)
+
+
 def compare_to_baseline(
     record: BenchRecord,
     baseline: BenchRecord,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    min_speedup: float = MIN_SPEEDUP,
 ) -> List[str]:
     """Gate ``record`` against ``baseline``; return failure descriptions.
 
-    An empty list means the gate passes.  Mismatched configurations are
-    a :class:`ConfigurationError` (the records are not comparable),
-    not a regression.
+    An empty list means the gate passes.  A tolerance outside ``[0, 1)``
+    or mismatched configurations are a :class:`ConfigurationError` (the
+    records are not comparable), not a regression.
     """
-    if not 0 <= tolerance < 1:
-        raise ConfigurationError(f"tolerance must be in [0, 1), got {tolerance}")
-    if record.config_key != baseline.config_key:
-        raise ConfigurationError(
-            "bench configs differ: measured "
-            f"{record.config_key} vs baseline {baseline.config_key}; "
-            "re-run with matching --points/--batch or refresh the baseline "
-            "with --update-baseline"
-        )
-    failures: List[str] = []
-    if not record.identical:
-        failures.append(
-            "engine results are NOT bit-identical to the serial path"
-        )
-    if record.speedup < min_speedup:
-        failures.append(
-            f"speedup {record.speedup:.2f}x is below the {min_speedup:g}x floor"
-        )
-    allowed = baseline.speedup * (1 - tolerance)
-    if record.speedup < allowed:
-        failures.append(
-            f"speedup {record.speedup:.2f}x regressed more than "
-            f"{tolerance:.0%} from the baseline {baseline.speedup:.2f}x "
-            f"(allowed >= {allowed:.2f}x)"
-        )
-    return failures
+    return GATE.judge(record.to_payload(), baseline.to_payload(), tolerance)
