@@ -51,6 +51,7 @@ def run_checkpoint_bench() -> dict:
     """Measure stored bytes and makespans."""
     from repro.dist.elastic import elastic_mlp_train
     from repro.dist.train import MLPParams
+    from repro.simmpi.engine import SimEngine
 
     dims = tuple(CONFIG["dims"])
     rng = np.random.default_rng(CONFIG["seed"])
@@ -63,7 +64,8 @@ def run_checkpoint_bench() -> dict:
             params0, x, y, pr=CONFIG["pr"], pc=CONFIG["pc"],
             batch=CONFIG["batch"], steps=CONFIG["steps"],
             checkpoint_every=every, ckpt_mode=mode,
-            parity=CONFIG["parity"], trace=True,
+            parity=CONFIG["parity"],
+            engine=SimEngine(CONFIG["pr"] * CONFIG["pc"], trace=True, supervise=True),
         )
         takes = [
             e for e in res.engine.tracer.canonical()

@@ -59,11 +59,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.machine.params import MachineParams
-from repro.simmpi.tracing import TraceEvent
 
 __all__ = [
     "RUN_RECORD_SCHEMA",
@@ -391,24 +390,29 @@ def _machine_dict(machine: Optional[MachineParams]) -> Dict[str, Any]:
 
 
 def build_run_record(
-    events: Sequence[TraceEvent],
+    engine: Any,
+    sim: Any,
     *,
     trainer: str,
     config: Dict[str, Any],
     pr: int,
     pc: int,
-    clocks: Optional[Sequence[float]] = None,
-    machine: Optional[MachineParams] = None,
-    dropped: int = 0,
+    sdc: Any = None,
     meta: Optional[Dict[str, Any]] = None,
     health_config: Optional[Any] = None,
     host: Optional[Dict[str, Any]] = None,
 ) -> RunRecord:
-    """Assemble a :class:`RunRecord` from a trace.
+    """Assemble a :class:`RunRecord` from a traced run.
 
-    Runs the accounting and critical-path analyses over ``events`` and
-    packages their machine-readable digests together with the run's
-    configuration.  ``config`` must be JSON-serializable; ``meta`` is a
+    ``engine`` is the (tracing) :class:`~repro.simmpi.engine.SimEngine`
+    the run executed on and ``sim`` its result; the trace is read in
+    canonical (replay-stable) order, so the record is deterministic for
+    a given program.  Runs the accounting and critical-path analyses
+    over it and packages their machine-readable digests together with
+    the run's configuration.  ``config`` must be JSON-serializable;
+    ``sdc`` (a mode string, :class:`~repro.simmpi.sdc.SDCPolicy` or
+    shared guard) adds its policy mode as the ``sdc`` config key, so
+    guarded records compare apart from unguarded ones.  ``meta`` is a
     free-form block (labels, commit ids) excluded from comparability.
 
     When the trace shows SDC activity (injected bit flips or ABFT
@@ -429,6 +433,13 @@ def build_run_record(
     from repro.analysis.critical import critical_path
     from repro.telemetry.summary import span_totals
 
+    events = engine.tracer.canonical()
+    clocks = sim.clocks
+    dropped = engine.tracer.dropped
+    config = dict(config)
+    if sdc is not None:
+        # A guard carries its policy; a policy or mode string is one.
+        config["sdc"] = sdc if isinstance(sdc, str) else getattr(sdc, "policy", sdc).mode
     accounting = rank_accounting(events, clocks=clocks, dropped=dropped)
     cp = critical_path(events, clocks=clocks, dropped=dropped)
     counters = {
@@ -475,8 +486,8 @@ def build_run_record(
     health = health_report.to_dict() if health_report.events else {}
     return RunRecord(
         trainer=trainer,
-        config=dict(config),
-        machine=_machine_dict(machine),
+        config=config,
+        machine=_machine_dict(engine.network.machine),
         grid={"pr": int(pr), "pc": int(pc)},
         makespan_s=max(accounting.makespan_s, cp.makespan_s),
         spans=tuple(span_totals(events)),

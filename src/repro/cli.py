@@ -246,12 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     chaos_p.add_argument(
-        "--timeout",
-        type=float,
-        default=10.0,
-        help="supervision timeout per run in real seconds (default 10)",
-    )
-    chaos_p.add_argument(
         "--out",
         default=None,
         help=(
@@ -686,6 +680,7 @@ def _run_faults(args) -> int:
         render_span_timeline,
         render_timeline,
     )
+    from repro.simmpi.engine import SimEngine
     from repro.simmpi.faults import Crash, FaultPlan, LinkFault, Straggler
 
     if args.ranks < 2:
@@ -728,9 +723,10 @@ def _run_faults(args) -> int:
         if args.sdc:
             print(f"guards  : ABFT on, policy {args.sdc!r}")
     try:
+        engine = SimEngine(pr * pc, trace=True, faults=plan, supervise=True)
         result = elastic_mlp_train(
             params0, x, y, pr=pr, pc=pc, batch=batch, steps=args.steps,
-            checkpoint_every=2, faults=plan, trace=True, sdc=args.sdc,
+            checkpoint_every=2, sdc=args.sdc, engine=engine,
         )
     except ReproError as exc:
         print(f"DEGRADED: run failed under the fault plan: {exc}", file=sys.stderr)
@@ -983,6 +979,7 @@ def _run_chaos(args) -> int:
     from repro.dist.elastic import elastic_mlp_train, elastic_run_record
     from repro.dist.train import MLPParams
     from repro.errors import ReproError
+    from repro.simmpi.engine import SimEngine
     from repro.simmpi.faults import (
         BitFlipFault,
         Cascade,
@@ -1143,9 +1140,10 @@ def _run_chaos(args) -> int:
             return (
                 elastic_mlp_train(
                     params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
-                    checkpoint_every=2, ckpt_mode=mode, parity=parity,
-                    faults=plan, sdc=sdc, trace=want_artifacts,
-                    timeout=args.timeout,
+                    checkpoint_every=2, ckpt_mode=mode, parity=parity, sdc=sdc,
+                    engine=SimEngine(
+                        pr * pc, trace=want_artifacts, faults=plan, supervise=True
+                    ),
                 ),
                 None,
             )
@@ -1439,12 +1437,13 @@ def _run_watch(args) -> int:
                         Crash(rank=2, at_step=mid),
                     ),
                 )
+            engine = SimEngine(
+                pr * pc, trace=True, metrics=sink, faults=plan, supervise=True
+            )
             result = elastic_mlp_train(
                 params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
-                checkpoint_every=2, parity=parity, faults=plan,
-                trace=True, metrics=sink,
+                checkpoint_every=2, parity=parity, engine=engine,
             )
-            engine = result.engine
             config = {"scenario": scenario, "steps": steps, "parity": parity}
 
             def record_fn():
@@ -1832,6 +1831,7 @@ def _run_profile(args) -> int:
             f"sampling at {session.hz:g}Hz"
         )
     try:
+        engine = SimEngine(pr * pc, trace=trace, supervise=args.trainer == "elastic")
         if args.trainer == "mlp":
             from repro.dist.train import (
                 MLPParams, distributed_mlp_train, mlp_run_record,
@@ -1842,12 +1842,11 @@ def _run_profile(args) -> int:
             n = 2 * batch
             x = rng.standard_normal((dims[0], n))
             y = rng.integers(0, dims[-1], n)
-            engine = SimEngine(pr * pc, trace=trace)
-            _, _, sim = distributed_mlp_train(
-                MLPParams.init(dims, seed=seed), x, y,
-                pr=pr, pc=pc, batch=batch, steps=steps,
-                engine=engine, profile=session,
-            )
+            with session:
+                _, _, sim = distributed_mlp_train(
+                    MLPParams.init(dims, seed=seed), x, y,
+                    pr=pr, pc=pc, batch=batch, steps=steps, engine=engine,
+                )
             if trace:
                 record = mlp_run_record(
                     engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
@@ -1863,15 +1862,15 @@ def _run_profile(args) -> int:
             n = 2 * batch
             x = rng.standard_normal((dims[0], n))
             y = rng.integers(0, dims[-1], n)
-            result = elastic_mlp_train(
-                MLPParams.init(dims, seed=seed), x, y,
-                pr=pr, pc=pc, batch=batch, steps=steps,
-                trace=trace, profile=session,
-            )
+            with session:
+                result = elastic_mlp_train(
+                    MLPParams.init(dims, seed=seed), x, y,
+                    pr=pr, pc=pc, batch=batch, steps=steps, engine=engine,
+                )
             if trace:
                 record = elastic_run_record(
                     result, batch=batch, steps=steps, meta={"profiled": True},
-                    host=host_block(result.engine),
+                    host=host_block(engine),
                 )
         elif args.trainer == "summa":
             from repro.dist.summa2d import summa_run_record, summa_train
@@ -1881,10 +1880,8 @@ def _run_profile(args) -> int:
             n_cols = max(64, 4 * pc)
             a = rng.standard_normal((m, k))
             b = rng.standard_normal((k, n_cols))
-            _, sim, engine = summa_train(
-                a, b, pr=pr, pc=pc, trace=trace,
-                profile=session,
-            )
+            with session:
+                _, sim, _ = summa_train(a, b, pr=pr, pc=pc, engine=engine)
             if trace:
                 record = summa_run_record(
                     engine, sim, m=m, k=k, n=n_cols, pr=pr, pc=pc,
@@ -1904,12 +1901,11 @@ def _run_profile(args) -> int:
             )
             batch = 2 * pc
             x, y = synthetic_images(2 * batch, 2, h, h, 5, seed=seed)
-            engine = SimEngine(pr * pc, trace=trace)
-            _, _, sim = distributed_cnn_train(
-                config, CNNParams.init(config, seed=seed), x, y,
-                pr=pr, pc=pc, batch=batch, steps=steps,
-                engine=engine, profile=session,
-            )
+            with session:
+                _, _, sim = distributed_cnn_train(
+                    config, CNNParams.init(config, seed=seed), x, y,
+                    pr=pr, pc=pc, batch=batch, steps=steps, engine=engine,
+                )
             if trace:
                 record = cnn_run_record(
                     engine, sim, config=config, pr=pr, pc=pc, batch=batch,

@@ -64,11 +64,10 @@ from repro.dist.loss import softmax_cross_entropy
 from repro.dist.matmul15d import backward_dw_15d, backward_dx_15d, forward_15d
 from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
-from repro.dist.train import MLPParams, _batch_columns
+from repro.dist.train import MLPParams, _batch_columns, _check_batch_steps
 from repro.errors import ConfigurationError, PeerFailedError, ShapeError, StrategyError
 from repro.machine.params import MachineParams, cori_knl
 from repro.nn.zoo import mlp
-from repro.profile.session import maybe_profile
 from repro.simmpi.engine import SimEngine, SimResult, resolve_engine
 from repro.simmpi.sdc import payload_guard
 from repro.telemetry.heartbeat import emit_heartbeat
@@ -593,35 +592,28 @@ def elastic_mlp_train(
     parity: int = 1,
     schedule=None,
     lr_schedule=None,
-    faults=None,
     sdc=None,
-    machine: Optional[MachineParams] = None,
-    trace: bool = False,
-    metrics=None,
-    timeout: float = 30.0,
     engine: Optional[SimEngine] = None,
-    profile=None,
 ) -> ElasticResult:
     """Train elastically on a supervised ``pr x pc`` simulation.
 
-    ``faults`` is a :class:`~repro.simmpi.faults.FaultPlan` (or
-    injector); with ``None`` or an empty plan the run is numerically
+    ``engine`` is the :class:`~repro.simmpi.engine.SimEngine` with
+    ``pr * pc`` ranks to run on; it must be built with
+    ``supervise=True`` and carries the fault plan, e.g.
+    ``SimEngine(pr * pc, faults=plan, supervise=True)``.  The default is
+    a supervised engine without faults, on which the run is numerically
     identical to :func:`~repro.dist.train.distributed_mlp_train`.
     ``ckpt_mode`` selects erasure-coded sharded checkpoints (default)
     or full replication; ``parity`` is the number of Reed-Solomon
     parity chunks per stripe, i.e. the number of *concurrent* rank
     losses every striped checkpoint survives bit-exactly.
     ``sdc`` enables ABFT guards against injected bit flips.
-    ``engine`` optionally supplies a prebuilt supervised
-    :class:`~repro.simmpi.engine.SimEngine` of the right size.
-    ``profile`` optionally runs the simulation under a host-time
-    :class:`~repro.profile.ProfileSession` (observability only —
-    results are bit-identical with or without it).
     Raises :class:`~repro.errors.RankFailedError` if every rank dies.
     """
     if x.ndim != 2:
         raise ShapeError(f"x must be (features, samples), got {x.shape}")
-    if batch < 1 or batch > x.shape[1]:
+    _check_batch_steps(batch, steps)
+    if batch > x.shape[1]:
         raise ConfigurationError(f"batch {batch} must lie in [1, {x.shape[1]}]")
     if checkpoint_every < 1:
         raise ConfigurationError(
@@ -633,37 +625,27 @@ def elastic_mlp_train(
         )
     if parity < 1:
         raise ConfigurationError(f"parity must be >= 1, got {parity}")
-    engine = resolve_engine(
-        engine,
-        pr * pc,
-        machine,
-        trace=trace,
-        faults=faults,
-        supervise=True,
-        timeout=timeout,
-        metrics=metrics,
+    engine = resolve_engine(engine, pr * pc, supervise=True)
+    result = engine.run(
+        elastic_mlp_program,
+        params0,
+        x,
+        y,
+        pr=pr,
+        pc=pc,
+        batch=batch,
+        steps=steps,
+        lr=lr,
+        momentum=momentum,
+        weight_decay=weight_decay,
+        checkpoint_every=checkpoint_every,
+        ckpt_mode=ckpt_mode,
+        parity=parity,
+        schedule=schedule,
+        lr_schedule=lr_schedule,
+        machine=engine.network.machine,
+        sdc=make_guard(sdc),
     )
-    with maybe_profile(profile):
-        result = engine.run(
-            elastic_mlp_program,
-            params0,
-            x,
-            y,
-            pr=pr,
-            pc=pc,
-            batch=batch,
-            steps=steps,
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            checkpoint_every=checkpoint_every,
-            ckpt_mode=ckpt_mode,
-            parity=parity,
-            schedule=schedule,
-            lr_schedule=lr_schedule,
-            machine=engine.network.machine,
-            sdc=make_guard(sdc),
-        )
     losses, weights, grids, restores, degraded, restored, store = result.values[
         result.survivors[0]
     ]
@@ -721,19 +703,14 @@ def elastic_run_record(
         "ckpt_mode": str(ckpt_mode),
         "parity": int(parity),
     }
-    if sdc is not None:
-        from repro.dist.train import _sdc_mode
-
-        config["sdc"] = _sdc_mode(sdc)
     return build_run_record(
-        result.engine.tracer.canonical(),
+        result.engine,
+        result.sim,
         trainer="elastic",
         config=config,
         pr=pr,
         pc=pc,
-        clocks=result.sim.clocks,
-        machine=result.engine.network.machine,
-        dropped=result.engine.tracer.dropped,
+        sdc=sdc,
         meta=merged,
         health_config=health_config,
         host=host,

@@ -37,9 +37,8 @@ from repro.dist.loss import softmax_cross_entropy
 from repro.dist.matmul15d import backward_dw_15d, backward_dx_15d, forward_15d
 from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
-from repro.dist.train import _batch_columns
+from repro.dist.train import _batch_columns, _check_batch_steps
 from repro.errors import ConfigurationError, ShapeError
-from repro.profile.session import maybe_profile
 from repro.simmpi.engine import SimEngine, SimResult, resolve_engine
 from repro.simmpi.sdc import payload_guard
 from repro.telemetry.heartbeat import emit_heartbeat
@@ -420,48 +419,42 @@ def distributed_cnn_train(
     weight_decay: float = 0.0,
     schedule=None,
     lr_schedule=None,
-    machine=None,
-    trace: bool = False,
-    metrics=None,
     engine: Optional[SimEngine] = None,
     sdc=None,
-    profile=None,
 ) -> Tuple[CNNParams, List[float], SimResult]:
     """Integrated training on a ``pr x pc`` grid; returns full params.
 
     ``pr`` partitions image rows for the convolutions and FC weight rows
-    for the dense layers; ``pc`` shards the batch.  ``engine``
-    optionally supplies a prebuilt :class:`~repro.simmpi.engine.SimEngine`.
-    ``profile`` optionally runs the simulation under a host-time
-    :class:`~repro.profile.ProfileSession` (results are bit-identical
-    with or without it).
+    for the dense layers; ``pc`` shards the batch.  ``engine`` is the
+    :class:`~repro.simmpi.engine.SimEngine` to run on (default: a plain
+    one with ``pr * pc`` ranks) and carries every engine setting.
     """
     config.validate_for_domain(pr)
+    _check_batch_steps(batch, steps)
     if batch % pc:
         raise ConfigurationError(
             f"batch {batch} must divide evenly over Pc={pc} for this trainer"
         )
-    engine = resolve_engine(engine, pr * pc, machine, trace=trace, metrics=metrics)
+    engine = resolve_engine(engine, pr * pc)
     # One shared guard object so all ranks aggregate into the same
     # sdc.* counters (and the caller can inspect them afterwards).
-    with maybe_profile(profile):
-        result = engine.run(
-            _cnn_train_program,
-            config,
-            params0,
-            x,
-            y,
-            pr=pr,
-            pc=pc,
-            batch=batch,
-            steps=steps,
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            schedule=schedule,
-            lr_schedule=lr_schedule,
-            sdc=make_guard(sdc),
-        )
+    result = engine.run(
+        _cnn_train_program,
+        config,
+        params0,
+        x,
+        y,
+        pr=pr,
+        pc=pc,
+        batch=batch,
+        steps=steps,
+        lr=lr,
+        momentum=momentum,
+        weight_decay=weight_decay,
+        schedule=schedule,
+        lr_schedule=lr_schedule,
+        sdc=make_guard(sdc),
+    )
     # Conv weights are replicated (take rank 0's); FC weights reassemble
     # from the r-row blocks of column 0.
     conv_ws = [w.copy() for w in result.values[0][0]]
@@ -489,12 +482,12 @@ def cnn_run_record(
     """Build the :class:`~repro.analysis.record.RunRecord` of a traced run.
 
     ``config`` is summarized into JSON-safe comparable fields (conv
-    stack shape plus FC dims); the trace is read in canonical order so
-    the record is deterministic.  ``host`` opts in to the v5 host-time
-    block (e.g. ``repro.profile.host_block(engine)``).
+    stack shape plus FC dims); see
+    :func:`~repro.analysis.record.build_run_record` for the rest.
+    ``host`` opts in to the v5 host-time block (e.g.
+    ``repro.profile.host_block(engine)``).
     """
     from repro.analysis.record import build_run_record
-    from repro.dist.train import _sdc_mode
 
     record_config = {
         "image": [int(config.in_channels), int(config.height), int(config.width)],
@@ -503,17 +496,14 @@ def cnn_run_record(
         "batch": int(batch),
         "steps": int(steps),
     }
-    if sdc is not None:
-        record_config["sdc"] = _sdc_mode(sdc)
     return build_run_record(
-        engine.tracer.canonical(),
+        engine,
+        sim,
         trainer="integrated",
         config=record_config,
         pr=pr,
         pc=pc,
-        clocks=sim.clocks,
-        machine=engine.network.machine,
-        dropped=engine.tracer.dropped,
+        sdc=sdc,
         meta=meta,
         host=host,
     )

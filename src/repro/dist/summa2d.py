@@ -31,7 +31,6 @@ from repro.dist.abft import inject_unguarded, make_guard
 from repro.dist.grid import GridComm
 from repro.dist.partition import BlockPartition
 from repro.errors import PartitionError, ShapeError
-from repro.profile.session import maybe_profile
 from repro.simmpi.engine import resolve_engine
 from repro.simmpi.sdc import payload_guard
 from repro.telemetry.heartbeat import emit_heartbeat
@@ -162,27 +161,20 @@ def summa_train(
     pr: int,
     pc: int,
     sdc=None,
-    machine=None,
-    trace: bool = False,
-    metrics=None,
     engine=None,
-    profile=None,
 ):
     """Engine-level SUMMA driver: resolve, run, reassemble full ``C``.
 
     The 2D baseline counterpart of
-    :func:`~repro.dist.train.distributed_mlp_train`: ``engine`` may be a
-    prebuilt :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks, and
-    ``profile`` optionally runs the multiply under a host-time
-    :class:`~repro.profile.ProfileSession` (results are bit-identical
-    with or without it).  Returns ``(c_full, sim_result, engine)`` so
-    callers can keep the tracer handle for :func:`summa_run_record`.
+    :func:`~repro.dist.train.distributed_mlp_train`: ``engine`` is the
+    :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks to run
+    on (default: a plain one).  Returns ``(c_full, sim_result, engine)``
+    so callers can keep the tracer handle for :func:`summa_run_record`.
     """
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"A {a.shape} and B {b.shape} do not conform")
-    engine = resolve_engine(engine, pr * pc, machine, trace=trace, metrics=metrics)
-    with maybe_profile(profile):
-        result = engine.run(summa_matmul, a, b, pr, pc, sdc=sdc)
+    engine = resolve_engine(engine, pr * pc)
+    result = engine.run(summa_matmul, a, b, pr, pc, sdc=sdc)
     rows = []
     for r in range(pr):
         rows.append(np.hstack([result.values[r * pc + c] for c in range(pc)]))
@@ -213,19 +205,14 @@ def summa_run_record(
     from repro.analysis.record import build_run_record
 
     config = {"m": int(m), "k": int(k), "n": int(n)}
-    if sdc is not None:
-        from repro.dist.train import _sdc_mode
-
-        config["sdc"] = _sdc_mode(sdc)
     return build_run_record(
-        engine.tracer.canonical(),
+        engine,
+        sim,
         trainer="summa2d",
         config=config,
         pr=pr,
         pc=pc,
-        clocks=sim.clocks,
-        machine=engine.network.machine,
-        dropped=engine.tracer.dropped,
+        sdc=sdc,
         meta=meta,
         host=host,
     )

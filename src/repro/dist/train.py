@@ -12,6 +12,7 @@ integration tests assert precisely this.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +26,6 @@ from repro.simmpi.sdc import payload_guard
 from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
 from repro.errors import ConfigurationError, ShapeError
-from repro.profile.session import maybe_profile
 from repro.simmpi.engine import SimEngine, SimResult, resolve_engine
 from repro.telemetry.heartbeat import emit_heartbeat
 from repro.telemetry.spans import span
@@ -63,6 +63,19 @@ class MLPParams:
 
     def copy(self) -> "MLPParams":
         return MLPParams([w.copy() for w in self.weights])
+
+
+def _check_batch_steps(batch, steps) -> None:
+    """Reject a batch or step count before any rank starts running."""
+    try:
+        ok = operator.index(batch) >= 1 and operator.index(steps) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigurationError(
+            f"batch must be an integer >= 1 and steps an integer >= 0, "
+            f"got batch={batch!r}, steps={steps!r}"
+        )
 
 
 def _batch_columns(step: int, batch: int, n: int, schedule=None) -> np.ndarray:
@@ -258,59 +271,42 @@ def distributed_mlp_train(
     schedule=None,
     lr_schedule=None,
     sdc=None,
-    machine=None,
-    trace: bool = False,
-    metrics=None,
     engine: Optional[SimEngine] = None,
-    profile=None,
 ) -> Tuple[List[np.ndarray], List[float], SimResult]:
     """Train on a simulated ``pr x pc`` grid; returns full weights, losses, run.
 
     The returned losses are the per-step global losses (identical on
     every rank); the weights are reassembled from the rank blocks.
-    ``metrics`` optionally attaches a
-    :class:`~repro.telemetry.metrics.MetricsRegistry` as the engine's
-    streaming event sink.  ``engine`` may be a prebuilt
-    :class:`~repro.simmpi.engine.SimEngine` with ``pr * pc`` ranks, which
-    lets callers keep the tracer handle — e.g. to build a
+    ``engine`` is the :class:`~repro.simmpi.engine.SimEngine` with
+    ``pr * pc`` ranks to run on (default: a plain one); it carries every
+    engine setting — machine, tracing, metrics sink, faults — and lets
+    callers keep the tracer handle, e.g. to build a
     :class:`~repro.analysis.record.RunRecord` afterwards.
     ``sdc`` turns on the ABFT guards (see :func:`mlp_train_program`).
-    ``profile`` optionally runs the training under a host-time
-    :class:`~repro.profile.ProfileSession` (observability only: values,
-    clocks, and traces are bit-identical with or without it).
     """
-    if batch % 1:
-        raise ConfigurationError("batch must be an integer")
-    engine = resolve_engine(engine, pr * pc, machine, trace=trace, metrics=metrics)
+    _check_batch_steps(batch, steps)
+    engine = resolve_engine(engine, pr * pc)
     # One shared guard so all ranks aggregate into the same sdc.* counters.
     guard = make_guard(sdc)
-    with maybe_profile(profile):
-        result = engine.run(
-            mlp_train_program,
-            params0,
-            x,
-            y,
-            pr=pr,
-            pc=pc,
-            batch=batch,
-            steps=steps,
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            schedule=schedule,
-            lr_schedule=lr_schedule,
-            sdc=guard,
-        )
+    result = engine.run(
+        mlp_train_program,
+        params0,
+        x,
+        y,
+        pr=pr,
+        pc=pc,
+        batch=batch,
+        steps=steps,
+        lr=lr,
+        momentum=momentum,
+        weight_decay=weight_decay,
+        schedule=schedule,
+        lr_schedule=lr_schedule,
+        sdc=guard,
+    )
     weights = assemble_weights(result, params0.dims, pr, pc)
     losses = list(result.values[0][1])
     return weights, losses, result
-
-
-def _sdc_mode(sdc) -> str:
-    """The policy mode string of any accepted ``sdc`` argument form."""
-    if isinstance(sdc, str):
-        return sdc
-    return make_guard(sdc).policy.mode
 
 
 def mlp_run_record(
@@ -329,13 +325,10 @@ def mlp_run_record(
 ):
     """Build the :class:`~repro.analysis.record.RunRecord` of a traced run.
 
-    ``engine`` must be the (tracing) engine the run executed on and
-    ``sim`` its result; the trace is read in canonical (replay-stable)
-    order so the record is deterministic for a given program.  Pass the
-    run's ``sdc`` policy mode so guarded records get a distinct config
-    key (unguarded records stay byte-identical to pre-SDC baselines).
-    ``host`` opts in to the v5 host-time block (e.g.
-    ``repro.profile.host_block(engine)``).
+    ``engine``/``sim`` are the tracing engine the run executed on and
+    its result; see :func:`~repro.analysis.record.build_run_record` for
+    ``sdc``, ``meta`` and ``health_config``.  ``host`` opts in to the v5
+    host-time block (e.g. ``repro.profile.host_block(engine)``).
     """
     from repro.analysis.record import build_run_record
 
@@ -344,17 +337,14 @@ def mlp_run_record(
         "batch": int(batch),
         "steps": int(steps),
     }
-    if sdc is not None:
-        config["sdc"] = _sdc_mode(sdc)
     return build_run_record(
-        engine.tracer.canonical(),
+        engine,
+        sim,
         trainer="train",
         config=config,
         pr=pr,
         pc=pc,
-        clocks=sim.clocks,
-        machine=engine.network.machine,
-        dropped=engine.tracer.dropped,
+        sdc=sdc,
         meta=meta,
         health_config=health_config,
         host=host,

@@ -393,40 +393,19 @@ class SimEngine:
 
 
 def resolve_engine(
-    engine: Optional["SimEngine"],
-    size: int,
-    machine: Optional[MachineParams] = None,
-    *,
-    trace: bool = False,
-    metrics: Optional[Any] = None,
-    faults: Optional[Union[FaultPlan, FaultInjector]] = None,
-    supervise: bool = False,
-    timeout: float = 30.0,
-    max_trace_events: Optional[int] = None,
+    engine: Optional["SimEngine"], size: int, *, supervise: bool = False
 ) -> "SimEngine":
-    """Coerce a trainer's ``engine`` argument to a ready :class:`SimEngine`.
+    """A trainer's ``engine`` argument as a ready :class:`SimEngine`.
 
-    ``engine`` may be ``None`` (build an engine from the supplied
-    configuration) or a prebuilt :class:`SimEngine`, which is returned
-    as-is once it is checked against ``size`` and against every setting
-    the caller asked for: a prebuilt engine cannot honour ``faults``
-    without a fault injector, ``trace=True`` without storing a trace, or
-    a ``metrics`` sink that is not its own, so each of those raises
-    :class:`~repro.errors.ConfigurationError` instead of being silently
-    dropped.  This is how ``engine=`` plumbs through the four trainers
-    without each call site re-implementing the coercion.
+    ``None`` builds ``SimEngine(size, supervise=supervise)``.  A prebuilt
+    engine is the trainer's only source of engine settings (machine,
+    tracing, metrics sink, faults, timeout), so it is returned as-is once
+    its type, its size and, for a trainer that must survive crashes
+    (``supervise=True``), its supervision are checked; a mismatch raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     if engine is None:
-        return SimEngine(
-            size,
-            machine,
-            trace=trace,
-            metrics=metrics,
-            faults=faults,
-            supervise=supervise,
-            timeout=timeout,
-            max_trace_events=max_trace_events,
-        )
+        return SimEngine(size, supervise=supervise)
     if not isinstance(engine, SimEngine):
         raise ConfigurationError(
             f"engine must be None or a prebuilt SimEngine, got {engine!r}"
@@ -435,19 +414,9 @@ def resolve_engine(
         raise ConfigurationError(
             f"engine has {engine.size} ranks, grid needs {size}"
         )
-    if faults is not None and engine.injector is None:
+    if supervise and not engine.supervise:
         raise ConfigurationError(
-            "faults were given but the prebuilt engine has no fault injector; "
-            "build it with SimEngine(..., faults=...)"
-        )
-    if trace and not (engine.tracer.enabled and engine.tracer.store):
-        raise ConfigurationError(
-            "trace=True but the prebuilt engine does not store a trace; "
-            "build it with SimEngine(..., trace=True)"
-        )
-    if metrics is not None and engine.metrics is not metrics:
-        raise ConfigurationError(
-            "metrics sink is not the prebuilt engine's; "
-            "build it with SimEngine(..., metrics=...)"
+            "this trainer recovers from rank crashes only on a supervised "
+            "engine; build it with SimEngine(..., supervise=True)"
         )
     return engine

@@ -261,7 +261,7 @@ def _elastic_clean_case():
     params0 = MLPParams.init((10, 8, 5), seed=2)
     res = elastic_mlp_train(
         params0, X, Y, pr=2, pc=2, batch=12, steps=4,
-        checkpoint_every=2, trace=True,
+        checkpoint_every=2, engine=SimEngine(4, trace=True, supervise=True),
     )
     return _observe_elastic(res)
 
@@ -327,7 +327,8 @@ def _crash_shrink_case(mode):
     )
     res = elastic_mlp_train(
         params0, X, Y, pr=2, pc=2, batch=12, steps=6,
-        checkpoint_every=2, ckpt_mode=mode, faults=plan, trace=True,
+        checkpoint_every=2, ckpt_mode=mode,
+        engine=SimEngine(4, trace=True, faults=plan, supervise=True),
     )
     return _observe_elastic(res)
 

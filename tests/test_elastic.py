@@ -20,6 +20,7 @@ from repro.dist.sgd import SGD
 from repro.dist.train import MLPParams, serial_mlp_train
 from repro.errors import ConfigurationError, RankFailedError
 from repro.machine.params import cori_knl
+from repro.simmpi.engine import SimEngine
 from repro.simmpi.faults import (
     Cascade,
     Crash,
@@ -46,7 +47,7 @@ def _serial(momentum=0.0):
     )
 
 
-def _elastic(faults=None, momentum=0.0, **kw):
+def _elastic(faults=None, momentum=0.0, trace=False, **kw):
     kw.setdefault("checkpoint_every", 2)
     kw.setdefault("pr", 2)
     kw.setdefault("pc", 2)
@@ -58,7 +59,7 @@ def _elastic(faults=None, momentum=0.0, **kw):
         steps=STEPS,
         lr=0.05,
         momentum=momentum,
-        faults=faults,
+        engine=SimEngine(kw["pr"] * kw["pc"], trace=trace, faults=faults, supervise=True),
         **kw,
     )
 
@@ -172,7 +173,7 @@ class TestElasticRecovery:
             crashes=tuple(Crash(rank=r, at_step=2) for r in range(4))
         )
         with pytest.raises(RankFailedError):
-            _elastic(faults=plan, timeout=5.0)
+            _elastic(faults=plan)
 
 
 class TestElasticDeterminism:

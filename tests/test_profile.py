@@ -3,10 +3,11 @@
 The headline invariant — profiling never changes the run — is checked
 bitwise; the rest covers session lifecycle,
 attribution arithmetic (rows sum to wall by construction), the hook
-counters, the exporters, the v5 RunRecord host block, and the
-``resolve_engine`` coercion the CLI and trainers share.
+counters, the exporters, the v5 RunRecord host block, the
+``resolve_engine`` checks the trainers share, and ``repro profile``.
 """
 
+import contextlib
 import json
 import time
 
@@ -19,10 +20,12 @@ from repro.analysis.record import (
     RunRecord,
     validate_run_record,
 )
+from repro.cli import main
 from repro.dist.elastic import elastic_mlp_train
 from repro.dist.summa2d import summa_train
 from repro.dist.train import MLPParams, distributed_mlp_train, mlp_run_record
 from repro.errors import ConfigurationError, ShapeError
+from repro.machine.params import MachineParams
 from repro.profile import (
     OVERHEAD_BUDGET,
     ProfileSession,
@@ -30,7 +33,6 @@ from repro.profile import (
     active_session,
     collapsed_lines,
     host_block,
-    maybe_profile,
     write_collapsed,
     write_flamegraph_html,
     write_pprof_json,
@@ -40,21 +42,23 @@ from repro.profile.export import PPROF_SCHEMA
 from repro.profile.sampler import Sampler
 from repro.simmpi.engine import SimEngine, resolve_engine
 from repro.simmpi.faults import Crash, FaultPlan
-from repro.telemetry.metrics import MetricsRegistry
 
 DIMS = (12, 10, 6)
 
 
-def _train(profile=None, trace=False, steps=2, backend="event"):
+def _train(profile=None, trace=False, steps=2, backend="event", engine=None):
+    """One MLP run; ``profile`` is a session entered around the trainer
+    call, after the engine is built."""
     rng = np.random.default_rng(5)
     x = rng.standard_normal((DIMS[0], 16))
     y = rng.integers(0, DIMS[-1], 16)
     params0 = MLPParams.init(DIMS, seed=1)
-    engine = SimEngine(4, trace=trace, backend=backend)
-    weights, losses, sim = distributed_mlp_train(
-        params0, x, y, pr=2, pc=2, batch=8, steps=steps,
-        engine=engine, profile=profile,
-    )
+    if engine is None:
+        engine = SimEngine(4, trace=trace, backend=backend)
+    with profile if profile is not None else contextlib.nullcontext():
+        weights, losses, sim = distributed_mlp_train(
+            params0, x, y, pr=2, pc=2, batch=8, steps=steps, engine=engine,
+        )
     return weights, losses, sim, engine
 
 
@@ -106,15 +110,17 @@ class TestSessionLifecycle:
             assert active_session() is session
         assert active_session() is None
 
-    def test_maybe_profile_none_is_noop(self):
-        with maybe_profile(None):
-            assert active_session() is None
+    def test_unprofiled_run_records_no_session(self):
+        *_, engine = _train()
+        assert engine.last_profile is None
+        assert active_session() is None
 
-    def test_maybe_profile_enters_the_session(self):
+    def test_session_around_trainer_covers_the_run(self):
         session = ProfileSession()
-        with maybe_profile(session):
-            assert active_session() is session
+        *_, engine = _train(profile=session)
+        assert engine.last_profile is session
         assert session.closed
+        assert session.report().counters["runs"] == 1
 
 
 @pytest.fixture(scope="module")
@@ -346,10 +352,11 @@ class TestResolveEngine:
             resolve_engine(name, 4)
 
     def test_none_builds_event_engine(self):
-        engine = resolve_engine(None, 3, trace=True, faults=FaultPlan())
+        engine = resolve_engine(None, 3)
         assert isinstance(engine, SimEngine) and engine.size == 3
-        assert engine.tracer.store and engine.injector is not None
+        assert not engine.supervise and engine.injector is None
         assert engine.run(lambda comm: comm.rank).values == (0, 1, 2)
+        assert resolve_engine(None, 3, supervise=True).supervise
 
     def test_prebuilt_engine_passes_through(self):
         engine = SimEngine(4, backend="event")
@@ -359,36 +366,28 @@ class TestResolveEngine:
         with pytest.raises(ConfigurationError):
             resolve_engine(SimEngine(4), 6)
 
-    def test_prebuilt_without_injector_rejects_faults(self):
+    def test_prebuilt_unsupervised_rejected_by_elastic(self):
+        """A crash on an unsupervised engine would kill every rank; the
+        elastic trainer refuses such an engine up front."""
         x, y = np.ones((DIMS[0], 16)), np.zeros(16, dtype=int)
         plan = FaultPlan(crashes=(Crash(rank=1, at_step=2),))
-        with pytest.raises(ConfigurationError, match="fault injector"):
+        with pytest.raises(ConfigurationError, match="supervise=True"):
             elastic_mlp_train(
                 MLPParams.init(DIMS, seed=1), x, y, pr=2, pc=2, batch=8,
-                steps=3, faults=plan, engine=SimEngine(4),
+                steps=3, engine=SimEngine(4, faults=plan),
             )
+        with pytest.raises(ConfigurationError, match="supervise=True"):
+            resolve_engine(SimEngine(4), 4, supervise=True)
         engine = SimEngine(4, faults=plan, supervise=True)
-        assert resolve_engine(engine, 4, faults=plan) is engine
+        assert resolve_engine(engine, 4, supervise=True) is engine
 
-    def test_prebuilt_untraced_rejects_trace(self):
-        x, y = np.ones((DIMS[0], 16)), np.zeros(16, dtype=int)
-        for engine in (SimEngine(4), SimEngine(4, metrics=MetricsRegistry())):
-            with pytest.raises(ConfigurationError, match="store a trace"):
-                distributed_mlp_train(
-                    MLPParams.init(DIMS, seed=1), x, y, pr=2, pc=2, batch=8,
-                    steps=1, trace=True, engine=engine,
-                )
-        engine = SimEngine(4, trace=True)
-        assert resolve_engine(engine, 4, trace=True) is engine
-
-    def test_prebuilt_rejects_foreign_metrics(self):
-        mine = MetricsRegistry()
-        with pytest.raises(ConfigurationError, match="metrics sink"):
-            resolve_engine(SimEngine(4), 4, metrics=mine)
-        with pytest.raises(ConfigurationError, match="metrics sink"):
-            resolve_engine(SimEngine(4, metrics=MetricsRegistry()), 4, metrics=mine)
-        engine = SimEngine(4, metrics=mine)
-        assert resolve_engine(engine, 4, metrics=mine) is engine
+    def test_prebuilt_engine_settings_govern_the_run(self):
+        """The engine is the only carrier of engine settings: a slow
+        machine on a prebuilt engine slows the simulated run."""
+        slow = MachineParams(alpha=2e-4, beta_per_byte=1 / 6e7, name="slow")
+        *_, fast_sim, _ = _train()
+        *_, slow_sim, _ = _train(engine=SimEngine(4, slow))
+        assert slow_sim.time > 10 * fast_sim.time
 
 
 class TestSummaTrain:
@@ -406,9 +405,10 @@ class TestSummaTrain:
 
     def test_profiled_bit_identical(self):
         a, b = self._ab()
-        c0, s0, e0 = summa_train(a, b, pr=2, pc=2, trace=True)
-        c1, s1, e1 = summa_train(a, b, pr=2, pc=2, trace=True,
-                                 profile=ProfileSession())
+        c0, s0, e0 = summa_train(a, b, pr=2, pc=2, engine=SimEngine(4, trace=True))
+        engine = SimEngine(4, trace=True)
+        with ProfileSession():
+            c1, s1, e1 = summa_train(a, b, pr=2, pc=2, engine=engine)
         assert c0.tobytes() == c1.tobytes()
         assert s0.clocks == s1.clocks
         assert e0.tracer.canonical() == e1.tracer.canonical()
@@ -417,3 +417,23 @@ class TestSummaTrain:
         a, b = self._ab()
         with pytest.raises(ShapeError):
             summa_train(a, b[:-1], pr=2, pc=2)
+
+
+class TestProfileCommand:
+    """``repro profile`` end to end on every trainer."""
+
+    @pytest.mark.parametrize("trainer", ["mlp", "elastic", "summa", "integrated"])
+    def test_profiles_and_records(self, trainer, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        code = main([
+            "profile", "--trainer", trainer, "-P", "4", "--steps", "1",
+            "--json", "--record", str(path),
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["trainer"] == trainer and payload["attribution_ok"]
+        assert payload["report"]["counters"]["runs"] == 1
+        record = json.loads(path.read_text())
+        validate_run_record(record)
+        assert record["schema"] == RUN_RECORD_SCHEMA == "repro.analysis.record/v5"
+        assert set(record["host"]) == {"wall_s"} | set(HOST_COUNTER_KEYS)

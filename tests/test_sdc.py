@@ -334,8 +334,8 @@ class TestEscalation:
         ))
         result = elastic_mlp_train(
             PARAMS0, X, Y, pr=2, pc=2, batch=BATCH, steps=6,
-            checkpoint_every=2, faults=plan, trace=True,
-            sdc=SDCPolicy(mode="recompute", max_retries=2),
+            checkpoint_every=2, sdc=SDCPolicy(mode="recompute", max_retries=2),
+            engine=SimEngine(4, trace=True, faults=plan, supervise=True),
         )
         assert result.recovered
         assert 1 in result.sim.failed
