@@ -37,18 +37,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments")
+    sub.add_parser("list", help="list available experiments").set_defaults(run=_run_list)
 
     run_p = sub.add_parser("run", help="run one experiment (or 'all')")
+    run_p.set_defaults(run=_run_run)
     run_p.add_argument("experiment", help="experiment id from 'repro list', or 'all'")
     run_p.add_argument("--out", default=None, help="directory for txt/csv/json export")
     run_p.add_argument("--quiet", action="store_true", help="suppress stdout rendering")
 
-    sub.add_parser("summary", help="print the Table-1 setting summary")
+    sub.add_parser(
+        "summary", help="print the Table-1 setting summary"
+    ).set_defaults(run=_run_summary)
 
     best_p = sub.add_parser(
         "best", help="find the best parallelization strategy for (network, B, P)"
     )
+    best_p.set_defaults(run=_run_best)
     best_p.add_argument("-B", "--batch", type=int, required=True, help="global batch size")
     best_p.add_argument("-P", "--processes", type=int, required=True, help="process count")
     best_p.add_argument(
@@ -97,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
             "optimizer and gate on regressions vs the committed baseline"
         ),
     )
+    bench_p.set_defaults(run=_run_bench)
     bench_p.add_argument(
         "--points",
         default=None,
@@ -143,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         "faults",
         help="fault-injection demo: crash a rank mid-training, shrink, recover",
     )
+    faults_p.set_defaults(run=_run_faults)
     faults_p.add_argument(
         "--plan",
         default=None,
@@ -185,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(exit 1), or let corruption escape (exit 2)"
         ),
     )
+    sdc_p.set_defaults(run=_run_sdc)
     sdc_p.add_argument(
         "--policy",
         default="correct",
@@ -218,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
             "nothing ever diverges silently (exit 2)"
         ),
     )
+    chaos_p.set_defaults(run=_run_chaos)
     chaos_p.add_argument(
         "--trials",
         type=int,
@@ -265,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
             "the Eq. 3/4/8 cost model, export a Chrome trace"
         ),
     )
+    trace_p.set_defaults(run=_run_trace)
     trace_p.add_argument(
         "--experiment",
         default="mlp",
@@ -316,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
             "2 critical"
         ),
     )
+    watch_p.set_defaults(run=_run_watch)
     watch_p.add_argument(
         "--scenario",
         default="straggler",
@@ -364,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
             "1 warnings / 2 drift"
         ),
     )
+    history_p.set_defaults(run=_run_history)
     history_p.add_argument(
         "--registry",
         default="benchmarks/REGISTRY.jsonl",
@@ -389,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(auto-detected by schema tag)"
         ),
     )
+    ingest_p.set_defaults(run=_run_ingest)
     ingest_p.add_argument(
         "paths", nargs="+", help="RunRecord or BENCH JSON files to ingest"
     )
@@ -406,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
             "timelines; no external assets"
         ),
     )
+    dash_p.set_defaults(run=_run_dash)
     dash_p.add_argument(
         "--registry",
         default="benchmarks/REGISTRY.jsonl",
@@ -428,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
             "pprof-style JSON"
         ),
     )
+    profile_p.set_defaults(run=_run_profile)
     profile_p.add_argument(
         "--trainer",
         default="mlp",
@@ -472,6 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
             "non-zero on timing/traffic regressions"
         ),
     )
+    diff_p.set_defaults(run=_run_diff)
     diff_p.add_argument("baseline", help="baseline RunRecord JSON path")
     diff_p.add_argument("current", help="current RunRecord JSON path")
     diff_p.add_argument(
@@ -669,48 +684,31 @@ def _run_bench(args) -> int:
 
 
 def _run_faults(args) -> int:
-    import numpy as np
+    import json
 
-    from repro.dist.elastic import elastic_mlp_train, replan_grid
-    from repro.dist.train import MLPParams, serial_mlp_train
-    from repro.errors import ReproError
-    from repro.machine.params import cori_knl
+    from repro.errors import ConfigurationError
     from repro.report.timeline import (
         render_fault_log,
         render_span_timeline,
         render_timeline,
     )
-    from repro.simmpi.engine import SimEngine
-    from repro.simmpi.faults import Crash, FaultPlan, LinkFault, Straggler
+    from repro.scenarios import faults_demo
+    from repro.simmpi.faults import FaultPlan
 
     if args.ranks < 2:
         print("faults demo needs at least 2 ranks", file=sys.stderr)
         return 2
+    plan = None
     if args.plan is not None:
-        from repro.errors import ConfigurationError
-
         try:
             with open(args.plan, "r", encoding="utf-8") as fh:
                 plan = FaultPlan.from_json(fh.read())
         except (OSError, ValueError, ConfigurationError) as exc:
             print(f"bad fault plan {args.plan!r}: {exc}", file=sys.stderr)
             return 2
-    else:
-        # Built-in demo: one mid-run crash, one degraded link, one mild
-        # straggler — enough to show detection, shrink and resumption.
-        plan = FaultPlan(
-            seed=args.seed,
-            crashes=(Crash(rank=1, at_step=max(1, args.steps // 2)),),
-            links=(LinkFault(src=0, dst=2, latency_factor=4.0, bandwidth_factor=0.5),),
-            stragglers=(Straggler(rank=0, factor=1.3),),
-        )
-    dims = (8, 10, 6)
-    batch = 8
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal((dims[0], 4 * batch))
-    y = rng.integers(0, dims[-1], 4 * batch)
-    params0 = MLPParams.init(dims, seed=args.seed)
-    pr, pc = replan_grid(args.ranks, dims, batch, cori_knl())
+    demo = faults_demo(args.ranks, args.steps, args.seed, plan=plan, sdc=args.sdc)
+    (trial,), result = demo.rows, demo.run
+    plan, (pr, pc) = trial["plan"], trial["grid"]
     if not args.json:
         print(f"world   : {args.ranks} ranks as a {pr}x{pc} grid, "
               f"{args.steps} steps")
@@ -722,647 +720,144 @@ def _run_faults(args) -> int:
         )
         if args.sdc:
             print(f"guards  : ABFT on, policy {args.sdc!r}")
-    try:
-        engine = SimEngine(pr * pc, trace=True, faults=plan, supervise=True)
-        result = elastic_mlp_train(
-            params0, x, y, pr=pr, pc=pc, batch=batch, steps=args.steps,
-            checkpoint_every=2, sdc=args.sdc, engine=engine,
-        )
-    except ReproError as exc:
-        print(f"DEGRADED: run failed under the fault plan: {exc}", file=sys.stderr)
-        return 1
-    events = result.engine.tracer.canonical()
-    dropped = result.engine.tracer.dropped
-    if not args.json:
-        print()
-        print("fault log:")
-        print(render_fault_log(events))
-        print()
-        print(render_timeline(events, width=args.width))
-        print()
-        print(render_span_timeline(events, width=args.width))
-        print()
-        if result.recovered:
-            degraded_at = set(result.degraded_steps)
-            for (gpr, gpc), at in zip(result.grids[1:], result.restore_steps):
-                print(
-                    f"recovery: shrank to a {gpr}x{gpc} grid, resumed from "
-                    f"the step-{at} checkpoint"
-                    + (" (DEGRADED: newer shards unrecoverable)"
-                       if at in degraded_at else "")
-                )
-        else:
-            print("recovery: none needed")
-    injector = result.engine.injector
-    slack = {}
-    if injector is not None and injector.plan.stragglers:
-        slack = injector.straggler_slack()
-        if not args.json:
-            print()
-            print("stragglers:")
-            for spec in injector.plan.stragglers:
-                jitter = f", jitter {spec.jitter:g}" if spec.jitter else ""
-                print(
-                    f"  rank {spec.rank}: factor {spec.factor:g}{jitter} -> "
-                    f"injected slack {slack.get(spec.rank, 0.0):.3e}s virtual"
-                )
+    if result is None:
+        print(f"DEGRADED: {demo.verdict.text}", file=sys.stderr)
+        return demo.verdict.code
     if args.record:
         from repro.analysis import write_run_record
-        from repro.dist.elastic import elastic_run_record
 
-        record = elastic_run_record(
-            result, batch=batch, steps=args.steps, checkpoint_every=2,
-        )
-        write_run_record(record, args.record)
-        if not args.json:
-            print(f"record  : wrote {args.record}")
-    ref_params, _ = serial_mlp_train(
-        params0, x, y, batch=batch, steps=args.steps
-    )
-    dev = max(
-        float(np.max(np.abs(w - r)))
-        for w, r in zip(result.weights, ref_params.weights)
-    )
-    if not args.json:
-        print(f"failed ranks   : {list(result.sim.failed) or 'none'}")
-        print(f"final loss     : {result.losses[-1]:.6f}")
-        print(f"max |w - serial|: {dev:.3e}")
-        if dropped:
-            print(
-                f"WARNING : tracer dropped {dropped} event(s) — the fault "
-                "log and timelines above are lossy",
-                file=sys.stderr,
-            )
-    # Exit granularity: 0 = clean or fully recovered (crashes absorbed by
-    # shrink/restore, bit flips detected and repaired); 1 = degraded — an
-    # injected flip nobody detected escaped into the weights.
-    ops = [e.op for e in events]
-    escaped = ops.count("fault.bitflip") - ops.count("fault.sdc_detected")
-    code = 1 if escaped > 0 else 0
+        write_run_record(demo.record(), args.record)
     if args.json:
-        import json
-
-        print(json.dumps(
-            {
-                "schema": "repro.cli.faults/v1",
-                "config": {
-                    "ranks": args.ranks, "grid": [pr, pc],
-                    "dims": list(dims), "batch": batch,
-                    "steps": args.steps, "seed": args.seed,
-                    "sdc": args.sdc,
-                },
-                "plan": {
-                    "crashes": len(plan.crashes),
-                    "transients": len(plan.transients),
-                    "drops": len(plan.drops),
-                    "links": len(plan.links),
-                    "stragglers": len(plan.stragglers),
-                    "bitflips": len(plan.bitflips),
-                    "seed": plan.seed,
-                },
-                "recovered": result.recovered,
-                "grids": [list(g) for g in result.grids],
-                "restore_steps": list(result.restore_steps),
-                "degraded_steps": list(result.degraded_steps),
-                "failed_ranks": sorted(result.sim.failed),
-                "straggler_slack_s": {
-                    str(r): s for r, s in sorted(slack.items())
-                },
-                "final_loss": float(result.losses[-1]),
-                "max_weight_dev": dev,
-                "escaped_flips": escaped,
-                "dropped": dropped,
-                "exit_code": code,
-            },
-            indent=2,
-            sort_keys=True,
-        ))
-        return code
-    if escaped > 0:
-        print(
-            f"DEGRADED: {escaped} injected bit flip(s) escaped undetected "
-            "(run unguarded, or guard coverage missed the site)",
-            file=sys.stderr,
-        )
-    return code
-
-
-#: The ``repro sdc`` gauntlet's fault matrix: every GEMM site of the
-#: 1.5D trainer (forward, dX, dW; both layers) plus in-flight payload
-#: corruption, across ranks, steps and bit positions — including
-#: high-exponent bits whose escape is catastrophic when unguarded.
-_SDC_GAUNTLET = (
-    ("fwd/L0", dict(rank=0, target="matmul", layer=0, step=0, gemm="fwd", element=1, bit=3)),
-    ("fwd/L1", dict(rank=2, target="matmul", layer=1, step=1, gemm="fwd", element=5, bit=62)),
-    ("bwd_dx/L1", dict(rank=1, target="matmul", layer=1, step=2, gemm="bwd_dx", element=2, bit=31)),
-    ("bwd_dw/L0", dict(rank=3, target="matmul", layer=0, step=1, gemm="bwd_dw", element=7, bit=52)),
-    ("bwd_dw/L1", dict(rank=0, target="matmul", layer=1, step=0, gemm="bwd_dw", element=0, bit=62)),
-    ("payload/r0", dict(rank=0, target="payload", send_index=4, element=11, bit=40)),
-    ("payload/r1", dict(rank=1, target="payload", send_index=0, element=0, bit=62)),
-    ("payload/r3", dict(rank=3, target="payload", send_index=3, element=3, bit=50)),
-)
+        print(json.dumps(demo.payload, indent=2, sort_keys=True))
+        return demo.verdict.code
+    events = result.engine.tracer.canonical()
+    print()
+    print("fault log:")
+    print(render_fault_log(events))
+    print()
+    print(render_timeline(events, width=args.width))
+    print()
+    print(render_span_timeline(events, width=args.width))
+    print()
+    if result.recovered:
+        degraded_at = set(result.degraded_steps)
+        for (gpr, gpc), at in zip(result.grids[1:], result.restore_steps):
+            print(
+                f"recovery: shrank to a {gpr}x{gpc} grid, resumed from "
+                f"the step-{at} checkpoint"
+                + (" (DEGRADED: newer shards unrecoverable)"
+                   if at in degraded_at else "")
+            )
+    else:
+        print("recovery: none needed")
+    if plan.stragglers:
+        slack = demo.payload["straggler_slack_s"]
+        print()
+        print("stragglers:")
+        for spec in plan.stragglers:
+            jitter = f", jitter {spec.jitter:g}" if spec.jitter else ""
+            print(
+                f"  rank {spec.rank}: factor {spec.factor:g}{jitter} -> "
+                f"injected slack {slack.get(str(spec.rank), 0.0):.3e}s virtual"
+            )
+    if args.record:
+        print(f"record  : wrote {args.record}")
+    print(f"failed ranks   : {list(result.sim.failed) or 'none'}")
+    print(f"final loss     : {result.losses[-1]:.6f}")
+    print(f"max |w - serial|: {demo.payload['max_weight_dev']:.3e}")
+    if demo.verdict.code:
+        print(f"DEGRADED: {demo.verdict.text}", file=sys.stderr)
+    return demo.verdict.code
 
 
 def _run_sdc(args) -> int:
-    import numpy as np
+    from repro.scenarios import SDC_DIMS, SDC_GRID, sdc_gauntlet
 
-    from repro.dist.abft import make_guard
-    from repro.dist.train import MLPParams, distributed_mlp_train, mlp_run_record
-    from repro.errors import RankFailedError, SDCError
-    from repro.simmpi.engine import SimEngine
-    from repro.simmpi.faults import BitFlipFault, FaultPlan
-
-    dims = (12, 10, 8)
-    pr = pc = 2
-    batch = 8
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal((dims[0], 4 * batch))
-    y = rng.integers(0, dims[-1], 4 * batch)
-    params0 = MLPParams.init(dims, seed=args.seed)
-
-    def run(plan=None, guard=None):
-        engine = SimEngine(pr * pc, trace=True, faults=plan)
-        weights, _, sim = distributed_mlp_train(
-            params0, x, y, pr=pr, pc=pc, batch=batch, steps=args.steps,
-            engine=engine, sdc=guard,
-        )
-        return weights, engine, sim
-
-    clean, clean_engine, _ = run()
-    clean_bits = [w.tobytes() for w in clean]
-    total_dropped = clean_engine.tracer.dropped
-    guarded = not args.no_guard
+    gauntlet = sdc_gauntlet(args.policy, args.no_guard, args.steps, args.seed)
+    pr, pc = SDC_GRID
     print(
-        f"gauntlet: {len(_SDC_GAUNTLET)} single-bit-flip plans on a "
-        f"{pr}x{pc} grid, dims {dims}, {args.steps} steps, "
-        + (f"guards ON (policy {args.policy!r})" if guarded else "guards OFF")
+        f"gauntlet: {len(gauntlet.rows)} single-bit-flip plans on a "
+        f"{pr}x{pc} grid, dims {SDC_DIMS}, {args.steps} steps, "
+        + ("guards OFF" if args.no_guard else f"guards ON (policy {args.policy!r})")
     )
-    outcomes = []
-    last = None
-    for name, spec in _SDC_GAUNTLET:
-        plan = FaultPlan(seed=args.seed, bitflips=(BitFlipFault(**spec),))
-        guard = make_guard(args.policy) if guarded else None
-        try:
-            weights, engine, sim = run(plan, guard)
-        except (RankFailedError, SDCError):
-            # The guard refused to continue (detect policy, or retries
-            # exhausted): corruption never reached the weights, but the
-            # run did not complete either.
-            outcomes.append((name, "detected-unrecovered"))
-            continue
-        total_dropped += engine.tracer.dropped
-        injected = guard.monitor["injected"] if guard is not None else sum(
-            1 for e in engine.tracer.canonical() if e.op == "fault.bitflip"
-        )
-        identical = [w.tobytes() for w in weights] == clean_bits
-        if injected == 0:
-            outcome = "no-fire"
-        elif identical:
-            if guard is not None and guard.monitor["corrected"]:
-                outcome = "corrected"
-            elif guard is not None and guard.monitor["recomputed"]:
-                outcome = "recomputed"
-            else:
-                outcome = "benign"
-        else:
-            outcome = "escaped"
-        outcomes.append((name, outcome))
-        last = (engine, sim, guard)
-    width = max(len(n) for n, _ in outcomes)
-    for name, outcome in outcomes:
+    width = max(len(name) for name, _ in gauntlet.rows)
+    for name, outcome in gauntlet.rows:
         print(f"  {name:<{width}}  {outcome}")
-    if args.record and last is not None:
+    if args.record and gauntlet.record is not None:
         from repro.analysis import write_run_record
 
-        engine, sim, guard = last
-        record = mlp_run_record(
-            engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
-            steps=args.steps, sdc=guard, meta={"gauntlet": "sdc"},
-        )
-        write_run_record(record, args.record)
+        write_run_record(gauntlet.record(), args.record)
         print(f"record  : wrote {args.record}")
-    if total_dropped:
-        print(
-            f"WARNING : tracer dropped {total_dropped} event(s) across the "
-            "gauntlet — injected-flip counts from unguarded traces may "
-            "undercount",
-            file=sys.stderr,
-        )
-    kinds = {o for _, o in outcomes}
-    if "escaped" in kinds or "no-fire" in kinds:
-        print(
-            "VERDICT : corruption escaped into the weights "
-            "(or a plan failed to fire)",
-            file=sys.stderr,
-        )
-        return 2
-    if "detected-unrecovered" in kinds:
-        print(
-            "VERDICT : all corruption detected, but some runs could not "
-            "recover",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        "VERDICT : every injected flip was detected and recovered; all "
-        "final weights bit-identical to the clean run"
-    )
-    return 0
+    verdict = gauntlet.verdict
+    print(f"VERDICT : {verdict.text}", file=sys.stderr if verdict.code else sys.stdout)
+    return verdict.code
 
 
 def _run_chaos(args) -> int:
     import json
     import os
 
-    import numpy as np
+    from repro.errors import ConfigurationError, ReproError
+    from repro.scenarios import CHAOS_GRID, DIMS, chaos_soak, chaos_trials
 
-    from repro.dist.elastic import elastic_mlp_train, elastic_run_record
-    from repro.dist.train import MLPParams
-    from repro.errors import ReproError
-    from repro.simmpi.engine import SimEngine
-    from repro.simmpi.faults import (
-        BitFlipFault,
-        Cascade,
-        Crash,
-        FaultPlan,
-        MessageDrop,
-        Straggler,
-    )
-
-    dims = (8, 10, 6)
-    pr, pc = 2, 4
-    batch = 8
-    steps = args.steps
-    if steps < 4:
-        print("chaos needs at least 4 steps", file=sys.stderr)
+    flags = (args.trials, args.steps, args.parity, args.seed, args.over_parity)
+    try:
+        names = [trial.name for trial in chaos_trials(*flags)]
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal((dims[0], 4 * batch))
-    y = rng.integers(0, dims[-1], 4 * batch)
-    params0 = MLPParams.init(dims, seed=args.seed)
-    mid = max(2, steps // 2)
-
-    # The deterministic gauntlet: every failure archetype the checkpoint
-    # subsystem claims to survive, each as (name, plan, parity, sdc).
-    flip = BitFlipFault(
-        rank=0, target="matmul", layer=0, step=0, gemm="fwd", element=1, bit=40
-    )
-    trials = [
-        ("clean", FaultPlan(seed=args.seed), args.parity, None),
-        (
-            "crash-1",
-            FaultPlan(seed=args.seed, crashes=(Crash(1, at_step=mid),)),
-            args.parity,
-            None,
-        ),
-        (
-            "crash-seq-2",
-            FaultPlan(
-                seed=args.seed,
-                crashes=(
-                    Crash(1, at_step=max(1, steps // 3)),
-                    Crash(3, at_step=max(2, (2 * steps) // 3)),
-                ),
-            ),
-            args.parity,
-            None,
-        ),
-        (
-            # Ranks 1 and 2 share a row stripe, so this is a genuine
-            # 2-concurrent-loss test of a 2-shard parity budget.
-            "crash-concurrent-2-r2",
-            FaultPlan(
-                seed=args.seed,
-                crashes=(Crash(1, at_step=mid), Crash(2, at_step=mid)),
-            ),
-            2,
-            None,
-        ),
-        (
-            # Same double crash but across *different* row stripes:
-            # each stripe loses one chunk, so parity 1 suffices.
-            "crash-concurrent-2-split-r1",
-            FaultPlan(
-                seed=args.seed,
-                crashes=(Crash(1, at_step=mid), Crash(5, at_step=mid)),
-            ),
-            1,
-            None,
-        ),
-        (
-            # Two total losses (one mid-training, one mid-recovery), so
-            # this needs a 2-shard parity budget to recover exactly.
-            "cascade-r2",
-            FaultPlan(
-                seed=args.seed,
-                crashes=(Crash(1, at_step=mid),),
-                cascades=(Cascade(2, at_recovery=1),),
-            ),
-            2,
-            None,
-        ),
-        (
-            "bitflip-crash",
-            FaultPlan(
-                seed=args.seed, crashes=(Crash(2, at_step=mid),), bitflips=(flip,)
-            ),
-            args.parity,
-            "correct",
-        ),
-        (
-            "straggler-crash",
-            FaultPlan(
-                seed=args.seed,
-                crashes=(Crash(3, at_step=mid),),
-                stragglers=(Straggler(rank=0, factor=1.5),),
-            ),
-            args.parity,
-            None,
-        ),
-    ]
-    plan_rng = np.random.default_rng(args.seed + 1)
-    for t in range(args.trials):
-        trials.append(
-            (
-                f"random-{t}",
-                FaultPlan(
-                    seed=args.seed,
-                    crashes=(
-                        Crash(
-                            int(plan_rng.integers(0, pr * pc)),
-                            at_step=int(plan_rng.integers(1, steps)),
-                        ),
-                    ),
-                ),
-                args.parity,
-                None,
-            )
-        )
-    if args.over_parity:
-        trials += [
-            (
-                # Two concurrent losses in one row stripe with a single
-                # parity shard: unrecoverable past step 0 by design.
-                "over-parity-2-r1",
-                FaultPlan(
-                    seed=args.seed,
-                    crashes=(Crash(1, at_step=mid), Crash(2, at_step=mid)),
-                ),
-                1,
-                None,
-            ),
-            (
-                "cascade-r1",
-                FaultPlan(
-                    seed=args.seed,
-                    crashes=(Crash(1, at_step=mid),),
-                    cascades=(Cascade(2, at_recovery=1),),
-                ),
-                1,
-                None,
-            ),
-            (
-                "drop",
-                FaultPlan(
-                    seed=args.seed, drops=(MessageDrop(rank=0, send_index=5),)
-                ),
-                args.parity,
-                None,
-            ),
-        ]
-
-    want_artifacts = args.out is not None
-    if want_artifacts:
+    width = max(len(name) for name in names)
+    if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-
-    def run_mode(mode, plan, parity, sdc):
-        try:
-            return (
-                elastic_mlp_train(
-                    params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
-                    checkpoint_every=2, ckpt_mode=mode, parity=parity, sdc=sdc,
-                    engine=SimEngine(
-                        pr * pc, trace=want_artifacts, faults=plan, supervise=True
-                    ),
-                ),
-                None,
-            )
-        except ReproError as exc:
-            return None, exc
-
     if not args.json:
+        pr, pc = CHAOS_GRID
         print(
-            f"chaos soak: {len(trials)} trials on a {pr}x{pc} grid, dims "
-            f"{dims}, {steps} steps, checkpoint every 2, parity {args.parity} "
+            f"chaos soak: {len(names)} trials on a {pr}x{pc} grid, dims "
+            f"{DIMS}, {args.steps} steps, checkpoint every 2, parity {args.parity} "
             f"(each trial: erasure-coded shards vs full replication)"
         )
-    # Oracle: one clean replicated run.  Its store holds the full
-    # original-grid checkpoint at every take step; the pre-crash
-    # trajectory of every faulted run is bit-identical to it, so any
-    # first restore must reproduce the oracle's checkpoint bit-exactly.
-    oracle, oracle_err = run_mode("replicate", None, args.parity, None)
-    if oracle_err is not None:
-        print(f"chaos: clean oracle run failed: {oracle_err}", file=sys.stderr)
-        return 2
 
-    def ckpt_equal(a, b):
-        if a.step != b.step or tuple(a.losses) != tuple(b.losses):
-            return False
-        if len(a.weights) != len(b.weights):
-            return False
-        if not all(
-            p.tobytes() == q.tobytes() for p, q in zip(a.weights, b.weights)
-        ):
-            return False
-        if (a.velocity is None) != (b.velocity is None):
-            return False
-        if a.velocity is not None and not all(
-            p.tobytes() == q.tobytes() for p, q in zip(a.velocity, b.velocity)
-        ):
-            return False
-        return True
-
-    outcomes = []
-    rows = []
-    total_dropped = 0
-    for name, plan, parity, sdc in trials:
-        e_res, e_err = run_mode("erasure", plan, parity, sdc)
-        r_res, r_err = run_mode("replicate", plan, parity, sdc)
-        detail = ""
-        if e_err is not None:
-            # The run itself refused to continue — a *declared* failure,
-            # never a silently wrong answer.
-            outcome, detail = "declared-failed", str(e_err)
-        elif e_res.degraded_steps:
-            outcome = "declared-degraded"
-            detail = (
-                f"restored step(s) {e_res.restore_steps} "
-                f"(degraded at {e_res.degraded_steps})"
-            )
-        elif r_err is not None:
-            outcome, detail = "declared-failed", f"reference run: {r_err}"
-        elif (
-            e_res.grids == r_res.grids
-            and e_res.restore_steps == r_res.restore_steps
-        ):
-            # Identical recovery trajectories: the whole runs must be
-            # bit-for-bit interchangeable.
-            same = all(
-                a.tobytes() == b.tobytes()
-                for a, b in zip(e_res.weights, r_res.weights)
-            )
-            outcome = "exact" if same else "SILENT-DIVERGENCE"
-            if e_res.recovered:
-                detail = (
-                    f"recovered from {sorted(e_res.sim.failed)} via "
-                    f"step(s) {e_res.restore_steps}"
-                )
-        else:
-            # Trajectories diverged.  Legitimate only one way: a crash
-            # landing on a take step tears the replicated all-gather but
-            # not the purely local erasure encode, so erasure restores a
-            # *newer* step.  Then the restored state must still match
-            # the clean oracle's checkpoint bit-exactly, and both modes
-            # must converge to the same weights up to reduction order.
-            ahead = len(e_res.restore_steps) == len(r_res.restore_steps) and all(
-                es >= rs
-                for es, rs in zip(e_res.restore_steps, r_res.restore_steps)
-            )
-            first = e_res.restored[0] if e_res.restored else None
-            holding = (
-                oracle.store.get(first.step) if first is not None else None
-            )
-            first_ok = holding is not None and ckpt_equal(
-                first, holding.checkpoint
-            )
-            close = all(
-                np.allclose(a, b, atol=1e-9)
-                for a, b in zip(e_res.weights, r_res.weights)
-            )
-            if ahead and first_ok and close:
-                outcome = "exact-ahead"
-                detail = (
-                    f"erasure restored step(s) {e_res.restore_steps} vs "
-                    f"replication's {r_res.restore_steps}; restored state "
-                    "bit-identical to the clean oracle"
-                )
-            else:
-                outcome = "SILENT-DIVERGENCE"
-                detail = (
-                    f"erasure restored {e_res.restore_steps} (grids "
-                    f"{e_res.grids}) vs replication {r_res.restore_steps} "
-                    f"(grids {r_res.grids}); ahead={ahead} "
-                    f"oracle-match={first_ok} converged={close}"
-                )
-        outcomes.append((name, outcome))
-        trial_dropped = e_res.engine.tracer.dropped if e_res else 0
-        total_dropped += trial_dropped
-        rows.append(
-            {
-                "trial": name,
-                "parity": parity,
-                "outcome": outcome,
-                "detail": detail,
-                "failed_ranks": sorted(e_res.sim.failed) if e_res else None,
-                "restore_steps": e_res.restore_steps if e_res else None,
-                "degraded_steps": e_res.degraded_steps if e_res else None,
-                "dropped": trial_dropped,
-            }
-        )
-        width = max(len(n) for n, _, _, _ in trials)
+    def on_trial(trial, row, record):
         if not args.json:
-            print(f"  {name:<{width}}  {outcome}"
-                  + (f"  [{detail}]" if detail else ""))
-        if want_artifacts:
-            stem = os.path.join(args.out, f"trial_{name}")
+            print(f"  {trial.name:<{width}}  {row['outcome']}"
+                  + (f"  [{row['detail']}]" if row["detail"] else ""))
+        if args.out is not None:
+            stem = os.path.join(args.out, f"trial_{trial.name}")
             with open(f"{stem}.plan.json", "w", encoding="utf-8") as fh:
-                fh.write(plan.to_json())
-            if e_res is not None:
+                fh.write(trial.plan.to_json())
+            if record is not None:
                 from repro.analysis import write_run_record
 
-                record = elastic_run_record(
-                    e_res, batch=batch, steps=steps, checkpoint_every=2,
-                    ckpt_mode="erasure", parity=parity, sdc=sdc,
-                    meta={"chaos_trial": name},
-                )
-                write_run_record(record, f"{stem}.record.json")
-    kinds = {o for _, o in outcomes}
-    if "SILENT-DIVERGENCE" in kinds:
-        code = 2
-        verdict = (
-            "erasure-coded recovery silently diverged from the replicated "
-            "reference"
-        )
-    elif "declared-failed" in kinds or "declared-degraded" in kinds:
-        code = 1
-        verdict = (
-            "every loss beyond the parity budget was declared; nothing "
-            "diverged silently"
-        )
-    else:
-        code = 0
-        verdict = (
-            "every trial recovered bit-identically to the replicated reference"
-        )
-    payload = {
-        "config": {
-            "dims": list(dims), "pr": pr, "pc": pc, "batch": batch,
-            "steps": steps, "parity": args.parity,
-            "seed": args.seed, "trials": len(trials),
-            "over_parity": bool(args.over_parity),
-        },
-        "trials": rows,
-        "dropped": total_dropped,
-        "exit_code": code,
-        "verdict": verdict,
-    }
-    if total_dropped and not args.json:
-        print(
-            f"WARNING : tracer dropped {total_dropped} event(s) across the "
-            "soak — per-trial records and timelines are lossy",
-            file=sys.stderr,
-        )
+                write_run_record(record(), f"{stem}.record.json")
+
+    try:
+        soak = chaos_soak(*flags, trace=args.out is not None, on_trial=on_trial)
+    except ReproError as exc:
+        print(f"chaos: clean oracle run failed: {exc}", file=sys.stderr)
+        return 2
+    verdict = soak.verdict
     if not args.json:
-        print(f"VERDICT : {verdict}",
-              file=sys.stderr if code == 2 else sys.stdout)
-    if want_artifacts:
+        print(f"VERDICT : {verdict.text}",
+              file=sys.stderr if verdict.code == 2 else sys.stdout)
+    if args.out is not None:
         summary_path = os.path.join(args.out, "chaos_summary.json")
         with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(soak.payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         if not args.json:
             print(f"wrote   : {summary_path}")
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    return code
-
-
-#: ``repro watch`` scenarios: each returns (result-ish, engine, record_fn)
-#: where record_fn() builds the RunRecord.  Small enough to run in
-#: seconds, chosen so the advertised rule actually fires.
-_WATCH_SCENARIOS = ("clean", "straggler", "crash", "degrade", "diverge")
+        print(json.dumps(soak.payload, indent=2, sort_keys=True))
+    return verdict.code
 
 
 def _run_watch(args) -> int:
     import json
 
-    import numpy as np
-
-    from repro.dist.elastic import elastic_mlp_train, elastic_run_record
-    from repro.dist.train import (
-        MLPParams,
-        distributed_mlp_train,
-        mlp_run_record,
-    )
     from repro.errors import ReproError
-    from repro.observe.health import (
-        HealthConfig,
-        HealthMonitor,
-        evaluate_health,
-    )
+    from repro.observe.health import HealthConfig, HealthMonitor
     from repro.observe.watch import WatchRenderer
-    from repro.simmpi.engine import SimEngine
-    from repro.simmpi.faults import Crash, FaultPlan, Straggler
+    from repro.scenarios import watch_run
 
     cfg_kwargs = {}
     if args.stall_steps is not None:
@@ -1381,94 +876,19 @@ def _run_watch(args) -> int:
         sink = monitor  # machine-readable mode: no live lines
     else:
         sink = WatchRenderer(monitor, heartbeats=not args.quiet)
-
-    dims = (8, 10, 6)
-    batch = 8
-    steps = args.steps
-    lr = 0.05
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal((dims[0], 4 * batch))
-    y = rng.integers(0, dims[-1], 4 * batch)
-    params0 = MLPParams.init(dims, seed=args.seed)
-    mid = max(1, steps // 2)
-    scenario = args.scenario
-
-    if not args.json:
-        print(f"watch   : scenario {scenario!r}, {steps} steps, "
+        print(f"watch   : scenario {args.scenario!r}, {args.steps} steps, "
               f"seed {args.seed}")
-
     try:
-        if scenario in ("clean", "diverge"):
-            pr = pc = 2
-            if scenario == "diverge":
-                lr = 40.0  # deliberately unstable: loss blows up past 2x best
-            engine = SimEngine(pr * pc, trace=True, metrics=sink)
-            _, losses, sim = distributed_mlp_train(
-                params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
-                lr=lr, engine=engine,
-            )
-            config = {"scenario": scenario, "steps": steps}
-
-            def record_fn():
-                return mlp_run_record(
-                    engine, sim, dims=dims, pr=pr, pc=pc, batch=batch,
-                    steps=steps, meta={"watch_scenario": scenario},
-                    health_config=health_config,
-                )
-
-            clocks = sim.clocks
-        else:
-            pr, pc = 2, 4
-            parity = 1
-            if scenario == "straggler":
-                plan = FaultPlan(
-                    seed=args.seed,
-                    stragglers=(Straggler(rank=0, factor=2.0),),
-                )
-            elif scenario == "crash":
-                plan = FaultPlan(
-                    seed=args.seed, crashes=(Crash(rank=1, at_step=mid),)
-                )
-            else:  # degrade: two concurrent losses in one stripe, parity 1
-                plan = FaultPlan(
-                    seed=args.seed,
-                    crashes=(
-                        Crash(rank=1, at_step=mid),
-                        Crash(rank=2, at_step=mid),
-                    ),
-                )
-            engine = SimEngine(
-                pr * pc, trace=True, metrics=sink, faults=plan, supervise=True
-            )
-            result = elastic_mlp_train(
-                params0, x, y, pr=pr, pc=pc, batch=batch, steps=steps,
-                checkpoint_every=2, parity=parity, engine=engine,
-            )
-            config = {"scenario": scenario, "steps": steps, "parity": parity}
-
-            def record_fn():
-                return elastic_run_record(
-                    result, batch=batch, steps=steps, checkpoint_every=2,
-                    parity=parity, meta={"watch_scenario": scenario},
-                    health_config=health_config,
-                )
-
-            clocks = result.sim.clocks
+        run = watch_run(
+            args.scenario, steps=args.steps, seed=args.seed,
+            health_config=health_config, sink=sink,
+        )
     except ReproError as exc:
         print(f"watch: run failed: {exc}", file=sys.stderr)
         return 2
-
     monitor.finish()
-    # The verdict (and everything recorded) comes from the deterministic
-    # virtual-time replay, not the live thread interleave.
-    events = engine.tracer.canonical()
-    report = evaluate_health(events, health_config)
-    makespan = max(clocks) if clocks else 0.0
-    dropped = engine.tracer.dropped
 
-    record = None
-    if args.record or args.registry:
-        record = record_fn()
+    record = run.record() if args.record or args.registry else None
     if args.record:
         from repro.analysis import write_run_record
 
@@ -1477,40 +897,25 @@ def _run_watch(args) -> int:
         from repro.observe.registry import append_entries, entry_from_record
 
         entry = entry_from_record(
-            record.to_dict(), source=f"repro watch --scenario {scenario}"
+            record.to_dict(), source=f"repro watch --scenario {args.scenario}"
         )
         append_entries(args.registry, [entry])
 
-    worst = report.worst
-    code = {"crit": 2, "warn": 1}.get(worst, 0)
     if args.json:
-        payload = {
-            "schema": "repro.cli.watch/v1",
-            "scenario": scenario,
-            "config": dict(config, grid=f"{pr}x{pc}", seed=args.seed),
-            "health": report.to_dict(),
-            "worst": worst,
-            "makespan_s": makespan,
-            "dropped": dropped,
-            "exit_code": code,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return code
+        print(json.dumps(run.payload, indent=2, sort_keys=True))
+        return run.verdict.code
     print()
-    if report.events:
-        print(report.to_table().to_ascii())
+    if run.rows:
+        print(run.run.to_table().to_ascii())
     else:
         print("health  : no events — run looks healthy")
-    if dropped:
-        print(f"WARNING : tracer dropped {dropped} event(s); the health "
-              "evaluation above ran on a lossy trace", file=sys.stderr)
     if args.record:
         print(f"record  : wrote {args.record}")
     if args.registry:
         print(f"registry: appended 1 entry to {args.registry}")
-    print(f"verdict : {'healthy' if worst is None else worst.upper()} "
-          f"(makespan {makespan:.6f}s virtual)")
-    return code
+    print(f"verdict : {run.verdict.text} "
+          f"(makespan {run.payload['makespan_s']:.6f}s virtual)")
+    return run.verdict.code
 
 
 def _run_history(args) -> int:
@@ -1666,14 +1071,12 @@ TRACE_PRESETS = {
 
 
 def _run_trace(args) -> int:
-    import numpy as np
-
     from repro.analysis import (
         critical_path,
         rank_accounting,
         register_analysis_metrics,
     )
-    from repro.dist.train import MLPParams, distributed_mlp_train, mlp_run_record
+    from repro.dist.train import distributed_mlp_train, mlp_problem, mlp_run_record
     from repro.errors import ReproError
     from repro.report.export import export_metrics
     from repro.report.timeline import render_traffic_matrix, traffic_matrix
@@ -1681,7 +1084,7 @@ def _run_trace(args) -> int:
     from repro.telemetry.audit import audit_events
     from repro.telemetry.chrome import validate_chrome_trace, write_chrome_trace
     from repro.telemetry.metrics import MetricsRegistry
-    from repro.telemetry.summary import dropped_warning, span_summary
+    from repro.telemetry.summary import span_summary
 
     dims = TRACE_PRESETS[args.experiment]
     print(
@@ -1689,15 +1092,10 @@ def _run_trace(args) -> int:
         f"batch {args.batch}, {args.steps} step(s)"
         + (f", SDC guards on ({args.sdc})" if args.sdc else "")
     )
-    seed = 0
-    n = 4 * args.batch
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((dims[0], n))
-    y = rng.integers(0, dims[-1], n)
     try:
         engine = SimEngine(args.pr * args.pc, trace=True)
         _, _, sim = distributed_mlp_train(
-            MLPParams.init(dims, seed=seed), x, y,
+            *mlp_problem(dims, args.batch),
             pr=args.pr, pc=args.pc, batch=args.batch, steps=args.steps,
             engine=engine, sdc=args.sdc,
         )
@@ -1712,8 +1110,6 @@ def _run_trace(args) -> int:
     except ReproError as exc:
         print(f"trace failed: {exc}", file=sys.stderr)
         return 2
-    if dropped:
-        print(f"WARNING : {dropped_warning(dropped)}", file=sys.stderr)
     registry = MetricsRegistry()
     for event in events:
         registry.observe_event(event)
@@ -1802,7 +1198,7 @@ def _run_profile(args) -> int:
     import numpy as np
 
     from repro.errors import ConfigurationError, ReproError
-    from repro.profile import ProfileSession, host_block
+    from repro.profile import OVERHEAD_BUDGET, ProfileSession, host_block
     from repro.profile.export import (
         write_collapsed,
         write_flamegraph_html,
@@ -1822,7 +1218,6 @@ def _run_profile(args) -> int:
     trace = args.record is not None
     seed = 0
     steps = args.steps
-    rng = np.random.default_rng(seed)
     record = None
     if not args.json:
         print(
@@ -1832,19 +1227,18 @@ def _run_profile(args) -> int:
         )
     try:
         engine = SimEngine(pr * pc, trace=trace, supervise=args.trainer == "elastic")
-        if args.trainer == "mlp":
-            from repro.dist.train import (
-                MLPParams, distributed_mlp_train, mlp_run_record,
-            )
+        batch = 2 * pc
+        if args.trainer in ("mlp", "elastic"):
+            from repro.dist.train import mlp_problem
 
             dims = (max(64, pr), max(64, pr), max(32, pr))
-            batch = 2 * pc
-            n = 2 * batch
-            x = rng.standard_normal((dims[0], n))
-            y = rng.integers(0, dims[-1], n)
+            problem = mlp_problem(dims, batch, seed, samples=2 * batch)
+        if args.trainer == "mlp":
+            from repro.dist.train import distributed_mlp_train, mlp_run_record
+
             with session:
                 _, _, sim = distributed_mlp_train(
-                    MLPParams.init(dims, seed=seed), x, y,
+                    *problem,
                     pr=pr, pc=pc, batch=batch, steps=steps, engine=engine,
                 )
             if trace:
@@ -1855,16 +1249,10 @@ def _run_profile(args) -> int:
                 )
         elif args.trainer == "elastic":
             from repro.dist.elastic import elastic_mlp_train, elastic_run_record
-            from repro.dist.train import MLPParams
 
-            dims = (max(64, pr), max(64, pr), max(32, pr))
-            batch = 2 * pc
-            n = 2 * batch
-            x = rng.standard_normal((dims[0], n))
-            y = rng.integers(0, dims[-1], n)
             with session:
                 result = elastic_mlp_train(
-                    MLPParams.init(dims, seed=seed), x, y,
+                    *problem,
                     pr=pr, pc=pc, batch=batch, steps=steps, engine=engine,
                 )
             if trace:
@@ -1878,6 +1266,7 @@ def _run_profile(args) -> int:
             k = math.lcm(pr, pc) * 8
             m = max(64, 4 * pr)
             n_cols = max(64, 4 * pc)
+            rng = np.random.default_rng(seed)
             a = rng.standard_normal((m, k))
             b = rng.standard_normal((k, n_cols))
             with session:
@@ -1899,7 +1288,6 @@ def _run_profile(args) -> int:
                 in_channels=2, height=h, width=h, conv_channels=(4,),
                 conv_kernels=(3,), pool_after=(True,), fc_dims=(32, 5),
             )
-            batch = 2 * pc
             x, y = synthetic_images(2 * batch, 2, h, h, 5, seed=seed)
             with session:
                 _, _, sim = distributed_cnn_train(
@@ -1995,7 +1383,7 @@ def _run_profile(args) -> int:
     print(
         f"overhead: sampler busy {report.sampler_busy_s * 1e3:.1f}ms of "
         f"{wall:.3f}s wall ({report.overhead_frac:.2%}; budget "
-        f"{100 * _profile_budget():.0f}%), {report.samples} samples kept, "
+        f"{100 * OVERHEAD_BUDGET:.0f}%), {report.samples} samples kept, "
         f"{report.samples_dropped} dropped"
     )
     for name, path in artifacts.items():
@@ -2009,12 +1397,6 @@ def _run_profile(args) -> int:
             file=sys.stderr,
         )
     return exit_code
-
-
-def _profile_budget() -> float:
-    from repro.profile import OVERHEAD_BUDGET
-
-    return OVERHEAD_BUDGET
 
 
 def _run_diff(args) -> int:
@@ -2073,70 +1455,52 @@ def _run_diff(args) -> int:
     return 0
 
 
-def _run_one(experiment_id: str, out: Optional[str], quiet: bool) -> None:
-    entry = get_experiment(experiment_id)
-    result = entry.runner()
-    if not quiet:
-        print(result.render())
-        print()
-    if out:
-        for i, table in enumerate(result.tables):
-            stem = result.experiment_id if i == 0 else f"{result.experiment_id}_{i}"
-            export_results(table, out, stem)
-        write_text(f"{out.rstrip('/')}/{result.experiment_id}_report.txt", result.render())
+def _run_list(args) -> int:
+    width = max(len(k) for k in EXPERIMENTS)
+    for entry in EXPERIMENTS.values():
+        print(f"{entry.experiment_id:<{width}}  [{entry.paper_ref:<15}] {entry.title}")
+    return 0
+
+
+def _run_summary(args) -> int:
+    setting = default_setting()
+    print(setting.network.summary())
+    print()
+    m = setting.machine
+    print(
+        f"machine: {m.name} (alpha={m.alpha * 1e6:g}us, "
+        f"1/beta={m.bandwidth / 1e9:g} GB/s)"
+    )
+    print(
+        f"dataset: {setting.dataset.name} "
+        f"({setting.dataset.train_images:,} images, "
+        f"{setting.dataset.num_classes} classes)"
+    )
+    return 0
+
+
+def _run_run(args) -> int:
+    ids = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    for experiment_id in ids:
+        entry = get_experiment(experiment_id)
+        result = entry.runner()
+        if not args.quiet:
+            print(result.render())
+            print()
+        if args.out:
+            for i, table in enumerate(result.tables):
+                stem = result.experiment_id if i == 0 else f"{result.experiment_id}_{i}"
+                export_results(table, args.out, stem)
+            write_text(
+                f"{args.out.rstrip('/')}/{result.experiment_id}_report.txt",
+                result.render(),
+            )
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        width = max(len(k) for k in EXPERIMENTS)
-        for entry in EXPERIMENTS.values():
-            print(f"{entry.experiment_id:<{width}}  [{entry.paper_ref:<15}] {entry.title}")
-        return 0
-    if args.command == "summary":
-        setting = default_setting()
-        print(setting.network.summary())
-        print()
-        m = setting.machine
-        print(
-            f"machine: {m.name} (alpha={m.alpha * 1e6:g}us, "
-            f"1/beta={m.bandwidth / 1e9:g} GB/s)"
-        )
-        print(
-            f"dataset: {setting.dataset.name} "
-            f"({setting.dataset.train_images:,} images, "
-            f"{setting.dataset.num_classes} classes)"
-        )
-        return 0
-    if args.command == "best":
-        return _run_best(args)
-    if args.command == "bench":
-        return _run_bench(args)
-    if args.command == "faults":
-        return _run_faults(args)
-    if args.command == "sdc":
-        return _run_sdc(args)
-    if args.command == "watch":
-        return _run_watch(args)
-    if args.command == "history":
-        return _run_history(args)
-    if args.command == "ingest":
-        return _run_ingest(args)
-    if args.command == "dash":
-        return _run_dash(args)
-    if args.command == "chaos":
-        return _run_chaos(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "profile":
-        return _run_profile(args)
-    if args.command == "diff":
-        return _run_diff(args)
-    # run
-    ids = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for experiment_id in ids:
-        _run_one(experiment_id, args.out, args.quiet)
-    return 0
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -59,12 +59,12 @@ from repro.dist.erasure import (
     unpack_block_state,
 )
 from repro.dist.grid import GridComm
-from repro.dist.layers import relu, relu_grad
-from repro.dist.loss import softmax_cross_entropy
-from repro.dist.matmul15d import backward_dw_15d, backward_dx_15d, forward_15d
+# Unused here since the step body lives in repro.dist.train.mlp_step, but
+# kept importable: the benchmark's span layer wraps these names per module.
+from repro.dist.matmul15d import backward_dw_15d, backward_dx_15d, forward_15d  # noqa: F401
 from repro.dist.partition import BlockPartition
 from repro.dist.sgd import SGD
-from repro.dist.train import MLPParams, _batch_columns, _check_batch_steps
+from repro.dist.train import MLPParams, _check_batch_steps, mlp_step
 from repro.errors import ConfigurationError, PeerFailedError, ShapeError, StrategyError
 from repro.machine.params import MachineParams, cori_knl
 from repro.nn.zoo import mlp
@@ -411,7 +411,6 @@ def elastic_mlp_program(
         machine = cori_knl()
     guard = make_guard(sdc)
     dims = params0.dims
-    n = x.shape[1]
     num_layers = len(params0.weights)
     # Step-0 checkpoint: built locally from the shared initialisation
     # and always replicated, so every rank holds it and even a census
@@ -424,155 +423,101 @@ def elastic_mlp_program(
     restores: List[int] = []
     degraded: List[int] = []
     restored: List[Checkpoint] = []
+    cur_pr, cur_pc = pr, pc
     with payload_guard(guard):
-        return _elastic_loop(
-            world, params0, x, y, store, grids, restores, degraded,
-            restored, pr, pc,
-            batch=batch, steps=steps, lr=lr, momentum=momentum,
-            weight_decay=weight_decay, checkpoint_every=checkpoint_every,
-            ckpt_mode=ckpt_mode, parity=parity,
-            schedule=schedule, lr_schedule=lr_schedule, machine=machine,
-            guard=guard, dims=dims, n=n, num_layers=num_layers,
-        )
-
-
-def _elastic_loop(
-    world, params0, x, y, store, grids, restores, degraded, restored,
-    cur_pr, cur_pc,
-    *, batch, steps, lr, momentum, weight_decay, checkpoint_every,
-    ckpt_mode, parity, schedule, lr_schedule, machine, guard, dims, n,
-    num_layers,
-):
-    start = 0
-    restore_ckpt = store.get(0).checkpoint
-    recovering = False
-    while True:
-        try:
-            if recovering:
-                # ULFM-style recovery: shrink to the survivors, census
-                # the surviving shards, agree on the newest recoverable
-                # checkpoint, re-plan the grid for the new world size,
-                # and restore.  A further crash anywhere in this
-                # sequence (a *cascading* failure) re-raises
-                # PeerFailedError and re-enters recovery from the top.
-                with span("recovery", comm=world):
-                    world = world.shrink()
-                    start, restore_ckpt, was_degraded = _census_restore(
-                        world, store, dims, momentum
-                    )
-                    # Stale newer holdings carry the pre-crash grid's
-                    # trajectory; the replay from ``start`` re-takes
-                    # them on the new grid, so they must be dropped.
-                    store.truncate(start)
-                    cur_pr, cur_pc = replan_grid(world.size, dims, batch, machine)
-                    grids.append((cur_pr, cur_pc))
-                    restores.append(start)
-                    restored.append(restore_ckpt)
-                    if was_degraded:
-                        degraded.append(start)
-                recovering = False
-            grid = GridComm(world, cur_pr, cur_pc)
-            row_parts = [BlockPartition(d, grid.pr) for d in dims[1:]]
-            col_part = BlockPartition(batch, grid.pc)
-            w_locals, opt, losses = _restore(
-                restore_ckpt, grid, row_parts, lr, momentum, weight_decay
-            )
-            # Local GEMM work per step (fwd + dX + dW ~ 3 GEMMs at
-            # 2*m*k*n flops each), charged to the virtual clock so
-            # compute-level faults — stragglers above all — actually
-            # shape elastic timings instead of being invisible.
-            step_seconds = sum(
-                6.0 * row_parts[i].size(grid.row) * dims[i]
-                * col_part.size(grid.col)
-                for i in range(num_layers)
-            ) / machine.flops_peak
-            for step in range(start, steps):
-                with span("step", comm=world, step=step):
-                    world.heartbeat(step=step)
-                    world.advance(step_seconds)
-                    # Compute-phase heartbeat: emitted before the first
-                    # collective of the step, while per-rank clocks still
-                    # show *local* compute time — the only point where a
-                    # straggler's dilation is visible per rank (the later
-                    # collectives sync everyone to the slowest clock).
-                    emit_heartbeat(world, step=step, phase="compute")
-                    if (
-                        checkpoint_every
-                        and step % checkpoint_every == 0
-                        and step > start
-                    ):
-                        # Erasure striping needs at least one data chunk
-                        # per stripe; narrow grids fall back to
-                        # replication (e.g. Pc=1 after heavy shrink).
-                        k = grid.pc - parity
-                        erasure = ckpt_mode == "erasure" and k >= 1
-                        eff = "erasure" if erasure else "replicate"
-                        with span(
-                            "checkpoint", comm=world, step=step, mode=eff,
-                            pr=grid.pr, pc=grid.pc, mom=int(bool(momentum)),
+        start = 0
+        restore_ckpt = store.get(0).checkpoint
+        recovering = False
+        while True:
+            try:
+                if recovering:
+                    # ULFM-style recovery: shrink to the survivors, census
+                    # the surviving shards, agree on the newest recoverable
+                    # checkpoint, re-plan the grid for the new world size,
+                    # and restore.  A further crash anywhere in this
+                    # sequence (a *cascading* failure) re-raises
+                    # PeerFailedError and re-enters recovery from the top.
+                    with span("recovery", comm=world):
+                        world = world.shrink()
+                        start, restore_ckpt, was_degraded = _census_restore(
+                            world, store, dims, momentum
+                        )
+                        # Stale newer holdings carry the pre-crash grid's
+                        # trajectory; the replay from ``start`` re-takes
+                        # them on the new grid, so they must be dropped.
+                        store.truncate(start)
+                        cur_pr, cur_pc = replan_grid(world.size, dims, batch, machine)
+                        grids.append((cur_pr, cur_pc))
+                        restores.append(start)
+                        restored.append(restore_ckpt)
+                        if was_degraded:
+                            degraded.append(start)
+                    recovering = False
+                grid = GridComm(world, cur_pr, cur_pc)
+                row_parts = [BlockPartition(d, grid.pr) for d in dims[1:]]
+                col_part = BlockPartition(batch, grid.pc)
+                w_locals, opt, losses = _restore(
+                    restore_ckpt, grid, row_parts, lr, momentum, weight_decay
+                )
+                # Local GEMM work per step (fwd + dX + dW ~ 3 GEMMs at
+                # 2*m*k*n flops each), charged to the virtual clock so
+                # compute-level faults — stragglers above all — actually
+                # shape elastic timings instead of being invisible.
+                step_seconds = sum(
+                    6.0 * row_parts[i].size(grid.row) * dims[i]
+                    * col_part.size(grid.col)
+                    for i in range(num_layers)
+                ) / machine.flops_peak
+                for step in range(start, steps):
+                    with span("step", comm=world, step=step):
+                        world.heartbeat(step=step)
+                        world.advance(step_seconds)
+                        # Compute-phase heartbeat: emitted before the first
+                        # collective of the step, while per-rank clocks still
+                        # show *local* compute time — the only point where a
+                        # straggler's dilation is visible per rank (the later
+                        # collectives sync everyone to the slowest clock).
+                        emit_heartbeat(world, step=step, phase="compute")
+                        if (
+                            checkpoint_every
+                            and step % checkpoint_every == 0
+                            and step > start
                         ):
-                            if erasure:
-                                stored = _take_shard(
-                                    grid, store, step, w_locals, opt,
-                                    losses, momentum, parity, dims,
-                                )
-                                mode_code = MODE_ERASURE
-                            else:
-                                ckpt = _take_checkpoint(
-                                    grid, step, w_locals, opt, losses, momentum
-                                )
-                                store.add_replica(step, ckpt)
-                                stored = store.get(step).stored_bytes()
-                                mode_code = MODE_REPLICATE
-                        _ckpt_event(world, "ckpt.take", step, mode_code, stored)
-                    if lr_schedule is not None:
-                        opt.lr = float(lr_schedule(step))
-                    cols = _batch_columns(step, batch, n, schedule)
-                    my_cols = col_part.take(cols, grid.col)
-                    a_local = x[:, my_cols]
-                    yb_local = y[my_cols]
-                    acts = [a_local]
-                    zs = []
-                    for i in range(num_layers):
-                        with span("fwd", comm=world, layer=i):
-                            z = forward_15d(
-                                grid, w_locals[i], acts[-1],
-                                layer=i, step=step, guard=guard,
-                            )
-                        zs.append(z)
-                        acts.append(relu(z) if i < num_layers - 1 else z)
-                    with span("loss", comm=world):
-                        loss_local, dz = softmax_cross_entropy(
-                            zs[-1], yb_local, global_batch=batch
+                            # Erasure striping needs at least one data chunk
+                            # per stripe; narrow grids fall back to
+                            # replication (e.g. Pc=1 after heavy shrink).
+                            k = grid.pc - parity
+                            erasure = ckpt_mode == "erasure" and k >= 1
+                            eff = "erasure" if erasure else "replicate"
+                            with span(
+                                "checkpoint", comm=world, step=step, mode=eff,
+                                pr=grid.pr, pc=grid.pc, mom=int(bool(momentum)),
+                            ):
+                                if erasure:
+                                    stored = _take_shard(
+                                        grid, store, step, w_locals, opt,
+                                        losses, momentum, parity, dims,
+                                    )
+                                    mode_code = MODE_ERASURE
+                                else:
+                                    ckpt = _take_checkpoint(
+                                        grid, step, w_locals, opt, losses, momentum
+                                    )
+                                    store.add_replica(step, ckpt)
+                                    stored = store.get(step).stored_bytes()
+                                    mode_code = MODE_REPLICATE
+                            _ckpt_event(world, "ckpt.take", step, mode_code, stored)
+                        loss_global = mlp_step(
+                            world, grid, w_locals, opt, row_parts, col_part, x, y,
+                            step=step, batch=batch, schedule=schedule,
+                            lr_schedule=lr_schedule, guard=guard,
                         )
-                        loss_global = float(
-                            grid.row_comm.allreduce(
-                                np.array([loss_local]), algorithm="ring"
-                            )[0]
-                        )
-                    losses.append(loss_global)
-                    grads: List[Optional[np.ndarray]] = [None] * num_layers
-                    for i in range(num_layers - 1, -1, -1):
-                        dy_rows = row_parts[i].take(dz, grid.row, axis=0)
-                        with span("bwd_dw", comm=world, layer=i):
-                            grads[i] = backward_dw_15d(
-                                grid, dy_rows, acts[i],
-                                layer=i, step=step, guard=guard,
-                            )
-                        if i > 0:
-                            with span("bwd_dx", comm=world, layer=i):
-                                da = backward_dx_15d(
-                                    grid, w_locals[i], dy_rows,
-                                    layer=i, step=step, guard=guard,
-                                )
-                            dz = relu_grad(zs[i - 1], da)
-                    with span("update", comm=world):
-                        opt.step(w_locals, grads)  # type: ignore[arg-type]
-                emit_heartbeat(world, step=step, loss=loss_global, phase="elastic")
-            full_weights = _full_blocks(grid, w_locals)
-            return losses, full_weights, grids, restores, degraded, restored, store
-        except PeerFailedError:
-            recovering = True
+                        losses.append(loss_global)
+                    emit_heartbeat(world, step=step, loss=loss_global, phase="elastic")
+                full_weights = _full_blocks(grid, w_locals)
+                return losses, full_weights, grids, restores, degraded, restored, store
+            except PeerFailedError:
+                recovering = True
 
 
 def elastic_mlp_train(

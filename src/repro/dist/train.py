@@ -32,7 +32,9 @@ from repro.telemetry.spans import span
 
 __all__ = [
     "MLPParams",
+    "mlp_problem",
     "serial_mlp_train",
+    "mlp_step",
     "mlp_train_program",
     "distributed_mlp_train",
     "mlp_run_record",
@@ -63,6 +65,20 @@ class MLPParams:
 
     def copy(self) -> "MLPParams":
         return MLPParams([w.copy() for w in self.weights])
+
+
+def mlp_problem(
+    dims: Sequence[int], batch: int, seed: int = 0, samples: Optional[int] = None
+) -> Tuple[MLPParams, np.ndarray, np.ndarray]:
+    """A seeded toy problem ``(params0, x, y)``: ``(dims[0], samples)``
+    standard-normal features, labels in ``[0, dims[-1])`` and
+    :meth:`MLPParams.init` weights, all from ``seed``; ``samples``
+    defaults to ``4 * batch``."""
+    n = samples if samples is not None else 4 * batch
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((dims[0], n))
+    y = rng.integers(0, dims[-1], n)
+    return MLPParams.init(dims, seed=seed), x, y
 
 
 def _check_batch_steps(batch, steps) -> None:
@@ -145,6 +161,62 @@ def serial_mlp_train(
     return params, losses
 
 
+def mlp_step(
+    comm, grid: GridComm, w_locals: List[np.ndarray], opt: SGD,
+    row_parts: Sequence[BlockPartition], col_part: BlockPartition,
+    x: np.ndarray, y: np.ndarray, *, step: int, batch: int, schedule,
+    lr_schedule, guard,
+) -> float:
+    """One synchronous 1.5D SGD step (the layer products of Fig. 5) on this
+    rank's blocks, updating ``w_locals`` in place; returns the global loss.
+    The plain and the elastic trainer both run their steps through it."""
+    num_layers = len(w_locals)
+    if lr_schedule is not None:
+        opt.lr = float(lr_schedule(step))
+    cols = _batch_columns(step, batch, x.shape[1], schedule)
+    my_cols = col_part.take(cols, grid.col)
+    a_local = x[:, my_cols]
+    yb_local = y[my_cols]
+    # Forward: cache the full (d_i x b_c) activations per layer.
+    acts = [a_local]
+    zs = []
+    for i in range(num_layers):
+        with span("fwd", comm=comm, layer=i):
+            z = forward_15d(
+                grid, w_locals[i], acts[-1],
+                layer=i, step=step, guard=guard,
+            )
+        zs.append(z)
+        acts.append(relu(z) if i < num_layers - 1 else z)
+    with span("loss", comm=comm):
+        loss_local, dz = softmax_cross_entropy(
+            zs[-1], yb_local, global_batch=batch
+        )
+        # Global loss: shard losses add over the Pc batch groups.
+        loss_global = float(
+            grid.row_comm.allreduce(np.array([loss_local]), algorithm="ring")[0]
+        )
+    # Backward.
+    grads: List[Optional[np.ndarray]] = [None] * num_layers
+    for i in range(num_layers - 1, -1, -1):
+        dy_rows = row_parts[i].take(dz, grid.row, axis=0)
+        with span("bwd_dw", comm=comm, layer=i):
+            grads[i] = backward_dw_15d(
+                grid, dy_rows, acts[i],
+                layer=i, step=step, guard=guard,
+            )
+        if i > 0:
+            with span("bwd_dx", comm=comm, layer=i):
+                da = backward_dx_15d(
+                    grid, w_locals[i], dy_rows,
+                    layer=i, step=step, guard=guard,
+                )
+            dz = relu_grad(zs[i - 1], da)
+    with span("update", comm=comm):
+        opt.step(w_locals, grads)  # type: ignore[arg-type]
+    return loss_global
+
+
 def mlp_train_program(
     comm,
     params0: MLPParams,
@@ -179,7 +251,6 @@ def mlp_train_program(
     """
     grid = GridComm(comm, pr, pc)
     guard = make_guard(sdc)
-    n = x.shape[1]
     dims = params0.dims
     row_parts = [BlockPartition(d_out, grid.pr) for d_out in dims[1:]]
     w_locals = [
@@ -189,55 +260,16 @@ def mlp_train_program(
     col_part = BlockPartition(batch, grid.pc)
     opt = SGD(lr=lr, momentum=momentum, weight_decay=weight_decay)
     losses: List[float] = []
-    num_layers = len(w_locals)
     with payload_guard(guard):
         for step in range(steps):
             with span("step", comm=comm, step=step):
-                if lr_schedule is not None:
-                    opt.lr = float(lr_schedule(step))
-                cols = _batch_columns(step, batch, n, schedule)
-                my_cols = col_part.take(cols, grid.col)
-                a_local = x[:, my_cols]
-                yb_local = y[my_cols]
-                # Forward: cache the full (d_i x b_c) activations per layer.
-                acts = [a_local]
-                zs = []
-                for i in range(num_layers):
-                    with span("fwd", comm=comm, layer=i):
-                        z = forward_15d(
-                            grid, w_locals[i], acts[-1],
-                            layer=i, step=step, guard=guard,
-                        )
-                    zs.append(z)
-                    acts.append(relu(z) if i < num_layers - 1 else z)
-                with span("loss", comm=comm):
-                    loss_local, dz = softmax_cross_entropy(
-                        zs[-1], yb_local, global_batch=batch
-                    )
-                    # Global loss: shard losses add over the Pc batch groups.
-                    loss_global = float(
-                        grid.row_comm.allreduce(np.array([loss_local]), algorithm="ring")[0]
-                    )
-                losses.append(loss_global)
-                # Backward.
-                grads: List[Optional[np.ndarray]] = [None] * num_layers
-                for i in range(num_layers - 1, -1, -1):
-                    dy_rows = row_parts[i].take(dz, grid.row, axis=0)
-                    with span("bwd_dw", comm=comm, layer=i):
-                        grads[i] = backward_dw_15d(
-                            grid, dy_rows, acts[i],
-                            layer=i, step=step, guard=guard,
-                        )
-                    if i > 0:
-                        with span("bwd_dx", comm=comm, layer=i):
-                            da = backward_dx_15d(
-                                grid, w_locals[i], dy_rows,
-                                layer=i, step=step, guard=guard,
-                            )
-                        dz = relu_grad(zs[i - 1], da)
-                with span("update", comm=comm):
-                    opt.step(w_locals, grads)  # type: ignore[arg-type]
-                emit_heartbeat(comm, step=step, loss=loss_global, phase="train")
+                loss = mlp_step(
+                    comm, grid, w_locals, opt, row_parts, col_part, x, y,
+                    step=step, batch=batch, schedule=schedule,
+                    lr_schedule=lr_schedule, guard=guard,
+                )
+                losses.append(loss)
+                emit_heartbeat(comm, step=step, loss=loss, phase="train")
     return w_locals, losses
 
 

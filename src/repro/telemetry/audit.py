@@ -43,8 +43,6 @@ import dataclasses
 import math
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.costs import integrated_mb_cost
 from repro.core.results import ResultTable
 from repro.core.strategy import ProcessGrid
@@ -503,17 +501,12 @@ def audit_mlp_15d(
     ``seed``.  ``sdc`` (a policy mode / policy / guard) turns on the
     ABFT guards for the run and audits their digest escorts too.
     """
-    from repro.dist.train import MLPParams, mlp_train_program
+    from repro.dist.train import mlp_problem, mlp_train_program
     from repro.simmpi.engine import SimEngine
 
-    n = samples if samples is not None else 4 * batch
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((dims[0], n))
-    y = rng.integers(0, dims[-1], n)
-    params0 = MLPParams.init(dims, seed=seed)
     engine = SimEngine(pr * pc, machine, trace=True)
     engine.run(
-        mlp_train_program, params0, x, y,
+        mlp_train_program, *mlp_problem(dims, batch, seed, samples),
         pr=pr, pc=pc, batch=batch, steps=steps, sdc=sdc,
     )
     events = engine.tracer.events
