@@ -1,6 +1,6 @@
 """Scheduler wall-clock gate for the discrete-event simmpi engine.
 
-Three claims are gated against the committed baseline in
+Four claims are gated against the committed baseline in
 ``benchmarks/BENCH_simmpi.json``:
 
 1. **Barrier-storm ceilings.**  A barrier storm (pure blocking/wakeup
@@ -15,7 +15,14 @@ Three claims are gated against the committed baseline in
    step at P=1024 must finish within the committed wall-clock ceiling:
    the "1k+ ranks are routine" claim, kept honest in seconds.
 
-3. **Bit-identity.**  Every case of the engine's golden matrix
+3. **Telemetry overhead ceiling.**  The 8x32 MLP 64-64-32 (B=64, 2
+   steps) traced with a ``MetricsRegistry`` sink plus its
+   ``mlp_run_record``, over the same training untraced: the ratio of
+   the two median walls over ``REPS`` alternating runs must stay under
+   the committed ceiling.  The ceiling is the measured ratio times
+   1.65, the smaller of the two headroom factors above.
+
+4. **Bit-identity.**  Every case of the engine's golden matrix
    (``tests/backend_cases.py``) is re-run inside the gate and must
    reproduce ``tests/golden/backend_matrix.json`` exactly: values,
    final clocks, failed sets, canonical traces and failure messages.
@@ -40,6 +47,7 @@ CONFIG = {
     "storm_small": {"ranks": 64, "rounds": 40},
     "storm_large": {"ranks": 512, "rounds": 8},
     "scale": {"pr": 32, "pc": 32, "steps": 1, "dims": [64, 64, 32]},
+    "traced": {"pr": 8, "pc": 32, "batch": 64, "steps": 2, "dims": [64, 64, 32]},
     "reps": REPS,
 }
 
@@ -48,6 +56,7 @@ CONFIG = {
 CEILING_P64_S = 0.48  # 0.29 s x 1.65
 CEILING_P512_S = 1.72  # 0.82 s x 2.1
 CEILING_P1024_S = 60.0
+CEILING_TRACED_RATIO = 4.75  # measured 2.88x times the 1.65 headroom
 
 
 def _storm(comm, rounds):
@@ -108,6 +117,33 @@ def _scale_run():
     return wall, ok
 
 
+def _traced_ratio():
+    """Median traced wall (registry sink and RunRecord) over median
+    untraced wall of the same 8x32 training, and every run's wall."""
+    from repro.dist import train
+    from repro.simmpi.engine import SimEngine
+    from repro.telemetry.metrics import MetricsRegistry
+
+    cfg = CONFIG["traced"]
+    shape = dict(pr=cfg["pr"], pc=cfg["pc"], batch=cfg["batch"], steps=cfg["steps"])
+    dims = tuple(cfg["dims"])
+    params0, x, y = train.mlp_problem(dims, cfg["batch"])
+    walls = {False: [], True: []}
+    for _ in range(REPS):
+        for traced in (False, True):
+            engine = SimEngine(
+                cfg["pr"] * cfg["pc"], trace=traced,
+                metrics=MetricsRegistry() if traced else None,
+            )
+            t0 = time.monotonic()
+            _, _, sim = train.distributed_mlp_train(params0, x, y, engine=engine, **shape)
+            if traced:
+                train.mlp_run_record(engine, sim, dims=dims, **shape)
+            walls[traced].append(time.monotonic() - t0)
+    ratio = statistics.median(walls[True]) / statistics.median(walls[False])
+    return ratio, walls[True], walls[False]
+
+
 def _bit_identity():
     """Every golden-matrix case reproduces its frozen observation."""
     if ROOT not in sys.path:
@@ -123,6 +159,7 @@ def run_simmpi_bench() -> dict:
     wall_small, reps_small = _storm_walls(small["ranks"], small["rounds"])
     wall_large, reps_large = _storm_walls(large["ranks"], large["rounds"])
     scale_wall, scale_ok = _scale_run()
+    ratio, traced_reps, untraced_reps = _traced_ratio()
     return {
         "storm_p64_s": wall_small,
         "storm_p64_reps": reps_small,
@@ -130,10 +167,14 @@ def run_simmpi_bench() -> dict:
         "storm_p512_reps": reps_large,
         "scale_wall_s": scale_wall,
         "scale_ok": scale_ok,
+        "traced_ratio": ratio,
+        "traced_reps": traced_reps,
+        "untraced_reps": untraced_reps,
         "identical": _bit_identity(),
         "ceiling_p64_s": CEILING_P64_S,
         "ceiling_p512_s": CEILING_P512_S,
         "ceiling_s": CEILING_P1024_S,
+        "ceiling_traced_ratio": CEILING_TRACED_RATIO,
     }
 
 
@@ -144,11 +185,14 @@ def summary(record):
             f"(reps {[f'{r:.3f}' for r in record[f'storm_{key}_reps']]})")
     yield "scale P=1024", (f"full-telemetry faulted step in "
                            f"{record['scale_wall_s']:.1f}s")
+    yield "traced/bare", (f"{record['traced_ratio']:.2f}x on 8x32 (traced reps "
+                          f"{[f'{r:.2f}' for r in record['traced_reps']]}, bare reps "
+                          f"{[f'{r:.2f}' for r in record['untraced_reps']]})")
     yield "identity", "PASS" if record["identical"] else "FAIL"
 
 
 GATE = Gate(
-    "repro.simmpi.bench/v2",
+    "repro.simmpi.bench/v3",
     checks=(
         Check("ceiling", "storm_p64_s",
               "P=64 barrier storm took {value:.3f}s (median), over the "
@@ -159,6 +203,10 @@ GATE = Gate(
         Check("ceiling", "scale_wall_s",
               "P=1024 full-telemetry step took {value:.1f}s, over the "
               "committed ceiling {limit:.1f}s", "ceiling_s"),
+        Check("ceiling", "traced_ratio",
+              "8x32 traced run with registry and RunRecord took {value:.2f}x "
+              "the untraced wall, over the committed ceiling {limit:.2f}x",
+              "ceiling_traced_ratio"),
         Check("flag", "scale_ok",
               "P=1024 run lost its telemetry or clocks (scale sanity failed)"),
         Check("flag", "identical",

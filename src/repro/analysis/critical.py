@@ -4,7 +4,8 @@ The simulator already *timed* every message; this module explains the
 resulting makespan.  It rebuilds the cross-rank dependency DAG of a
 trace — program-order edges between consecutive ``send``/``recv``
 events of one rank, plus a matched edge from every ``send`` to the
-``recv`` that consumed it — and runs a backward slack pass over it:
+``recv`` that consumed it — in one FIFO-matching pass into flat
+per-node arrays, then computes slack in one reverse sweep over them:
 
 * an event's **slack** is how far its completion could slip without
   increasing the run's makespan;
@@ -71,18 +72,21 @@ def attribute_event(event: TraceEvent) -> Tuple[str, int, str]:
 
 @dataclasses.dataclass(frozen=True)
 class DependencyGraph:
-    """The event-level dependency DAG of one trace.
+    """The event-level dependency DAG of one trace, as flat per-node arrays.
 
-    ``nodes`` are the p2p events in input order; ``program_edges`` and
-    ``message_edges`` are ``(u, v)`` index pairs.  Message edges carry
-    the virtual arrival time of the matched message in
-    ``arrivals[(u, v)]`` (the earliest the receive could have ended).
+    ``nodes`` are the p2p events in input order.  Node ``u``'s edges are
+    its program successor ``successor[u]`` (the next event of its rank)
+    and, for a send, the receive ``matched[u]`` that consumed it, which
+    absorbs ``gap[u]`` of slack (``-1`` marks a missing edge).  Every
+    edge points to a later node, so a reverse sweep over the nodes visits
+    each one after all of its successors.
     """
 
     nodes: Tuple[TraceEvent, ...]
-    program_edges: Tuple[Tuple[int, int], ...]
-    message_edges: Tuple[Tuple[int, int], ...]
-    arrivals: Dict[Tuple[int, int], float]
+    successor: Tuple[int, ...]
+    matched: Tuple[int, ...]
+    arrival: Tuple[float, ...]
+    gap: Tuple[float, ...]
 
     @property
     def n_nodes(self) -> int:
@@ -90,75 +94,90 @@ class DependencyGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.program_edges) + len(self.message_edges)
+        n = self.n_nodes
+        return 2 * n - self.successor.count(-1) - self.matched.count(-1)
 
-    def successors(self) -> Dict[int, List[Tuple[int, float]]]:
-        """``u -> [(v, gap)]`` adjacency with the slack-absorbing gap.
+    @property
+    def program_edges(self) -> Tuple[Tuple[int, int], ...]:
+        """``(u, v)`` pairs of consecutive events of one rank, by ``v``."""
+        return _edges(self.successor)
 
-        Program-order edges are rigid (gap 0: delaying ``u`` delays the
-        compute that follows it and hence ``v``).  A message edge's gap
-        is ``recv.t_end - arrival`` — the time the message sat in the
-        mailbox before the receiver needed it.
+    @property
+    def message_edges(self) -> Tuple[Tuple[int, int], ...]:
+        """``(send, recv)`` FIFO-matched pairs, by the receive."""
+        return _edges(self.matched)
+
+    @property
+    def arrivals(self) -> Dict[Tuple[int, int], float]:
+        """Virtual arrival time of each matched message, by message edge.
+
+        The earliest its receive could have ended: a receive that waited
+        ended *at* the arrival; one posted late ended no later than the
+        send's delivery.
         """
-        adj: Dict[int, List[Tuple[int, float]]] = {}
-        for u, v in self.program_edges:
-            adj.setdefault(u, []).append((v, 0.0))
-        for u, v in self.message_edges:
-            gap = max(0.0, self.nodes[v].t_end - self.arrivals[(u, v)])
-            adj.setdefault(u, []).append((v, gap))
-        return adj
+        return {(u, v): self.arrival[u] for u, v in self.message_edges}
 
 
-def _dropped_send_keys(events: Sequence[TraceEvent]) -> set:
-    """Identity keys of sends whose message was injected-dropped."""
-    return {
-        (e.rank, e.peer, e.tag[0] if e.tag else None, e.t_start)
-        for e in events
-        if e.op == "fault.drop"
-    }
+def _edges(targets: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
+    return tuple(sorted(((u, v) for u, v in enumerate(targets) if v >= 0), key=lambda e: e[1]))
 
 
 def build_dependency_graph(events: Sequence[TraceEvent]) -> DependencyGraph:
-    """Extract the dependency DAG from a trace.
+    """Extract the dependency DAG from a trace in one FIFO-matching pass.
 
     Events must be in per-rank program order, which both
     :attr:`~repro.simmpi.tracing.Tracer.events` and
-    :meth:`~repro.simmpi.tracing.Tracer.canonical` guarantee.  Sends
-    whose payload was dropped by fault injection produce no message
-    edge; unmatched sends (e.g. to a crashed rank) simply stay leaves.
+    :meth:`~repro.simmpi.tracing.Tracer.canonical` guarantee; a rank
+    whose events start earlier than its previous one raises
+    :class:`~repro.errors.ConfigurationError`.  Sends whose payload was
+    dropped by fault injection produce no message edge; unmatched sends
+    (e.g. to a crashed rank) simply stay leaves.
     """
     nodes = tuple(e for e in events if e.op in ("send", "recv"))
-    dropped = _dropped_send_keys(events)
-    program_edges: List[Tuple[int, int]] = []
+    # Identity keys of sends whose message was injected-dropped.
+    dropped = {
+        (e.rank, e.peer, e.tag[0] if e.tag else None, e.t_start)
+        for e in events if e.op == "fault.drop"
+    }
+    n = len(nodes)
+    successor = [-1] * n
+    matched = [-1] * n
+    arrival = [0.0] * n
+    gap = [0.0] * n
     last_of_rank: Dict[int, int] = {}
     # FIFO queues of unmatched send indices per (src, dst, tag).
     pending: Dict[Tuple[int, int, object], deque] = {}
-    message_edges: List[Tuple[int, int]] = []
-    arrivals: Dict[Tuple[int, int], float] = {}
     for i, e in enumerate(nodes):
-        prev = last_of_rank.get(e.rank)
+        rank, t_start = e.rank, e.t_start
+        prev = last_of_rank.get(rank)
         if prev is not None:
-            program_edges.append((prev, i))
-        last_of_rank[e.rank] = i
+            if t_start < nodes[prev].t_start:
+                raise ConfigurationError(
+                    f"rank {rank}'s events are not in program order: event {i} "
+                    f"starts before event {prev}"
+                )
+            successor[prev] = i
+        last_of_rank[rank] = i
         tag = e.tag[0] if e.tag else None
         if e.op == "send":
-            if (e.rank, e.peer, tag, e.t_start) in dropped:
-                continue
-            pending.setdefault((e.rank, e.peer, tag), deque()).append(i)
-        else:
-            queue = pending.get((e.peer, e.rank, tag))
-            if queue:
-                u = queue.popleft()
-                message_edges.append((u, i))
-                # The receive ended at max(posted time, arrival); if it
-                # waited, its end *is* the arrival.
-                arrivals[(u, i)] = (
-                    e.t_end
-                    if e.t_end > e.t_start
-                    else min(e.t_end, nodes[u].t_end)
-                )
+            if not dropped or (rank, e.peer, tag, t_start) not in dropped:
+                key = (rank, e.peer, tag)
+                queue = pending.get(key)
+                if queue is None:
+                    queue = pending[key] = deque()
+                queue.append(i)
+            continue
+        queue = pending.get((e.peer, rank, tag))
+        if queue:
+            u = queue.popleft()
+            matched[u] = i
+            # The receive ended at max(posted time, arrival); if it
+            # waited, its end *is* the arrival.
+            t_end = e.t_end
+            arrival[u] = t_end if t_end > t_start else min(t_end, nodes[u].t_end)
+            gap[u] = max(0.0, t_end - arrival[u])
     return DependencyGraph(
-        nodes, tuple(program_edges), tuple(message_edges), arrivals
+        nodes, tuple(successor), tuple(matched), tuple(arrival), tuple(gap)
     )
 
 
@@ -269,28 +288,6 @@ class CriticalPathReport:
         return table
 
 
-def _topological_order(n: int, adj: Dict[int, List[Tuple[int, float]]]) -> List[int]:
-    indegree = [0] * n
-    for _, targets in adj.items():
-        for v, _gap in targets:
-            indegree[v] += 1
-    ready = deque(i for i in range(n) if indegree[i] == 0)
-    order: List[int] = []
-    while ready:
-        u = ready.popleft()
-        order.append(u)
-        for v, _gap in adj.get(u, ()):
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                ready.append(v)
-    if len(order) != n:
-        raise ConfigurationError(
-            "dependency graph has a cycle — the trace is not in per-rank "
-            "program order"
-        )
-    return order
-
-
 def critical_path(
     events: Sequence[TraceEvent],
     *,
@@ -311,44 +308,50 @@ def critical_path(
         raise ConfigurationError(
             "cannot extract a critical path: the trace has no p2p events"
         )
-    adj = graph.successors()
+    nodes, successor, matched, gap = graph.nodes, graph.successor, graph.matched, graph.gap
     n = graph.n_nodes
-    # Tail compute between a rank's last event and its final clock is
-    # rigid: delaying the event delays the clock one-for-one.
+    # A node with no successor ends its rank's timeline.  The tail
+    # compute between it and the rank's final clock is rigid: delaying
+    # the event delays the clock one-for-one.
     tail: Dict[int, float] = {}
-    makespan = 0.0
-    for i, e in enumerate(graph.nodes):
-        if not adj.get(i):
-            wall = e.t_end
-            if clocks is not None and e.rank < len(clocks):
-                wall = max(wall, float(clocks[e.rank]))
+    for i in range(n):
+        if successor[i] < 0 and matched[i] < 0:
+            wall = nodes[i].t_end
+            if clocks is not None and nodes[i].rank < len(clocks):
+                wall = max(wall, float(clocks[nodes[i].rank]))
             tail[i] = wall
-            makespan = max(makespan, wall)
+    makespan = max(0.0, *tail.values())
     if clocks is not None and len(clocks) > 0:
         makespan = max(makespan, max(float(c) for c in clocks))
+    # One reverse sweep: every edge points forward, so each node's
+    # successors are final before it is visited.  Program-order edges
+    # are rigid (gap 0); a message edge absorbs its mailbox wait.
     slack = [0.0] * n
-    for u in reversed(_topological_order(n, adj)):
-        targets = adj.get(u)
-        if not targets:
-            slack[u] = makespan - tail[u]
-            continue
-        slack[u] = min(slack[v] + gap for v, gap in targets)
-    # Walk the zero-slack chain forward from its earliest member.
+    for u in range(n - 1, -1, -1):
+        v, m = successor[u], matched[u]
+        if m < 0:
+            slack[u] = makespan - tail[u] if v < 0 else slack[v]
+        elif v < 0:
+            slack[u] = slack[m] + gap[u]
+        else:  # min(), inlined: the program edge wins ties
+            via_message = slack[m] + gap[u]
+            slack[u] = via_message if via_message < slack[v] else slack[v]
+    # Walk the zero-slack chain forward from its earliest member, taking
+    # the earliest zero-gap, zero-slack successor at each hop.
     start = min(
         (i for i in range(n) if slack[i] <= _EPS),
-        key=lambda i: (graph.nodes[i].t_start, graph.nodes[i].t_end),
+        key=lambda i: (nodes[i].t_start, nodes[i].t_end),
         default=None,
     )
     path_idx: List[int] = []
     cur = start
     while cur is not None:
         path_idx.append(cur)
-        nxt = None
-        for v, gap in sorted(adj.get(cur, ())):
-            if gap <= _EPS and slack[v] <= _EPS:
-                nxt = v
-                break
-        cur = nxt
+        hops = [(successor[cur], 0.0), (matched[cur], gap[cur])]
+        cur = min(
+            (v for v, g in hops if v >= 0 and g <= _EPS and slack[v] <= _EPS),
+            default=None,
+        )
     path = tuple(
         CriticalEvent(graph.nodes[i], *attribute_event(graph.nodes[i]))
         for i in path_idx

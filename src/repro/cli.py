@@ -929,6 +929,7 @@ def _run_history(args) -> int:
         trend_table,
         worst_status,
     )
+    from repro.scenarios import SEVERITY
 
     try:
         entries = load_registry(args.registry)
@@ -954,7 +955,7 @@ def _run_history(args) -> int:
                   file=sys.stderr)
             return 2
     status = worst_status(trends)
-    code = {"drift": 2, "warn": 1}.get(status, 0)
+    code = SEVERITY.get(status, 0)
     if args.json:
         payload = {
             "schema": "repro.cli.history/v1",

@@ -48,12 +48,10 @@ class SimMPIError(ReproError, RuntimeError):
 
 
 class DeadlockError(SimMPIError):
-    """A simulated rank waited longer than the watchdog allows.
+    """A simulated rank blocked on a receive that can never complete.
 
-    The simulated runtime executes SPMD rank programs on real threads;
-    a blocking receive that is never matched would hang the host
-    process, so receives carry a generous timeout and raise this error
-    instead.
+    The scheduler detects this exactly (no runnable rank and no due
+    interrupt) and raises it in the blocked rank instead of hanging.
     """
 
 

@@ -84,6 +84,7 @@ SEVERITY = {
     "no-fire": 2,
     "SILENT-DIVERGENCE": 2,
     "crit": 2,
+    "drift": 2,
     # Failures that were caught and declared.
     "degraded": 1,
     "detected-unrecovered": 1,

@@ -89,10 +89,6 @@ class SimEngine:
         Number of world ranks.
     machine:
         Latency/bandwidth parameters (defaults to the paper's Cori-KNL).
-    timeout:
-        Seconds quoted in the diagnosis of a deadlocked receive.  The
-        scheduler detects deadlocks exactly (no runnable tasklet and no
-        due interrupt), so this never costs wall-clock time.
     trace:
         Record every message as a :class:`~repro.simmpi.tracing.TraceEvent`
         (see :attr:`tracer`).
@@ -107,8 +103,10 @@ class SimEngine:
     metrics:
         Optional :class:`~repro.telemetry.metrics.MetricsRegistry`.
         When given, it is attached as the tracer's streaming sink so
-        every event updates the registry's aggregates — even when event
-        *storage* is capped or (with ``trace=False``) off entirely.
+        every event reaches the registry's aggregates — even when event
+        *storage* is capped or (with ``trace=False``) off entirely.  Any
+        sink with an ``observe_event`` method works; one that also has
+        ``flush()`` is flushed at the end of every :meth:`run`.
     max_trace_events:
         Optional cap on stored trace events (ring-buffer semantics; see
         :class:`~repro.simmpi.tracing.Tracer`).
@@ -124,7 +122,6 @@ class SimEngine:
         size: int,
         machine: Optional[MachineParams] = None,
         *,
-        timeout: float = 30.0,
         trace: bool = False,
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
         supervise: bool = False,
@@ -134,8 +131,6 @@ class SimEngine:
     ) -> None:
         if size < 1:
             raise ConfigurationError(f"engine size must be >= 1, got {size}")
-        if timeout <= 0:
-            raise ConfigurationError(f"timeout must be positive, got {timeout}")
         if backend not in self.BACKENDS:
             raise ConfigurationError(
                 f"unknown engine backend {backend!r}; the only backend is 'event'"
@@ -145,7 +140,6 @@ class SimEngine:
             faults = FaultInjector(faults)
         self.injector: Optional[FaultInjector] = faults
         self.network = PostalNetwork(machine, injector=self.injector)
-        self.timeout = timeout
         self.supervise = supervise
         # The running scheduler's mailbox (kept after a run ends).
         self.mailbox = None
@@ -387,6 +381,9 @@ class SimEngine:
                 failed=tuple(sorted(self._dead)),
             )
         finally:
+            flush = getattr(self.metrics, "flush", None)
+            if flush is not None:
+                flush()
             self.last_host_wall_s = perf_counter() - t_host_start
             if profile_hooks is not None:
                 profile_hooks.note_run_end(self)
@@ -399,7 +396,7 @@ def resolve_engine(
 
     ``None`` builds ``SimEngine(size, supervise=supervise)``.  A prebuilt
     engine is the trainer's only source of engine settings (machine,
-    tracing, metrics sink, faults, timeout), so it is returned as-is once
+    tracing, metrics sink, faults), so it is returned as-is once
     its type, its size and, for a trainer that must survive crashes
     (``supervise=True``), its supervision are checked; a mismatch raises
     :class:`~repro.errors.ConfigurationError`.

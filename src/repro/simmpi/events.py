@@ -28,8 +28,7 @@ values, clocks, and canonical traces, independent of rank spawn order
 on wall-clock timeouts: when no tasklet is runnable and no interrupt
 predicate fires, the blocked tasklet with the smallest
 ``(virtual clock, rank)`` is chosen as the deterministic victim and
-receives a :class:`~repro.errors.DeadlockError` quoting the engine's
-``timeout``.
+receives a :class:`~repro.errors.DeadlockError` naming the receive.
 """
 
 from __future__ import annotations
@@ -398,7 +397,7 @@ class EventCore:
         tasklet to run without an intervening state-change note).  If
         nothing fires, the stall is a genuine deadlock: the blocked
         tasklet with the smallest ``(virtual clock, rank)`` receives the
-        timeout diagnosis; its failure then aborts the run, which
+        deadlock diagnosis; its failure then aborts the run, which
         interrupts the remaining blocked tasklets on the next pass.
         """
         engine = self.engine
@@ -425,8 +424,8 @@ class EventCore:
         if victim.wait_kind == "recv":
             del self._recv_waiters[victim.wait_key]
             exc = DeadlockError(
-                f"receive on {victim.wait_key} timed out after "
-                f"{engine.timeout:.1f}s (likely an unmatched send/recv pair)"
+                f"receive on {victim.wait_key} deadlocked: no rank can ever "
+                "send it (likely an unmatched send/recv pair)"
             )
         else:
             self._unregister_coord(victim)

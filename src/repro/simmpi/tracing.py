@@ -9,7 +9,11 @@ Scalability: for long runs the in-memory event list can be bounded with
 ``Tracer(max_events=...)`` (oldest events are dropped and counted in
 :attr:`Tracer.dropped`) or bypassed entirely by attaching a streaming
 ``sink`` callback — e.g. a :class:`~repro.telemetry.metrics.MetricsRegistry`
-— which observes every event even when storage is capped or off.
+— which observes every event even when storage is capped or off.  The
+registry buffers what it observes and folds it into its metrics in bulk,
+bit-identically to per-event updates: every ``FOLD_CHUNK`` events (so a
+sink-only run holds at most one chunk), after each engine run and before
+any read.
 """
 
 from __future__ import annotations

@@ -5,8 +5,15 @@ records *every* event, metrics keep cheap running aggregates — bytes
 sent, message counts, fault/retry totals, virtual seconds per span kind
 — that stay O(label cardinality) no matter how long a run is.  Wired as
 the tracer's streaming sink (``SimEngine(..., metrics=registry)``) it
-observes every :class:`~repro.simmpi.tracing.TraceEvent` as it happens,
-including events dropped from a capped event store.
+sees every :class:`~repro.simmpi.tracing.TraceEvent`, including events
+dropped from a capped event store.
+
+The sink buffers events; :meth:`MetricsRegistry.flush` folds them in
+bulk once :data:`FOLD_CHUNK` are buffered (bounding a sink-only run's
+memory), after every ``SimEngine.run`` (failed runs too) and before any
+read or update.  Series fold in event order and metrics are created in
+first-seen order, so every value, bucket and ``to_rows()`` order is
+bit-identical to updating per event, wherever the chunks break.
 
 Disabled registries (``MetricsRegistry(enabled=False)``, or the shared
 :data:`NULL_REGISTRY`) turn every mutation into an immediate no-op so
@@ -23,10 +30,15 @@ All metrics support free-form labels::
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left
+from collections import Counter as _Tally
+from functools import reduce
+from operator import add
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.results import ResultTable
 from repro.errors import ConfigurationError
+from repro.telemetry.spans import base_name
 
 __all__ = [
     "Counter",
@@ -34,9 +46,15 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
+    "FOLD_CHUNK",
 ]
 
+#: Trace events the sink buffers before folding them into the metrics.
+FOLD_CHUNK = 4096
+
 LabelKey = Tuple[Tuple[str, Any], ...]
+#: Values to fold per label set, each list in arrival order.
+Groups = Dict[LabelKey, List[Any]]
 
 
 def _key(labels: Dict[str, Any]) -> LabelKey:
@@ -44,19 +62,30 @@ def _key(labels: Dict[str, Any]) -> LabelKey:
 
 
 class _Metric:
-    """Shared plumbing: a name, a lock, and a labelled-series mapping."""
+    """Shared plumbing: a name, a lock, and a labelled-series mapping.
+
+    ``flush`` is the owning registry's fold of buffered trace events;
+    every read and update runs it first.  Each kind updates only through
+    ``_fold(groups)``, which folds each label set's values in order; a
+    single update is a one-value group.
+    """
 
     kind = "metric"
 
-    def __init__(self, name: str, description: str, enabled: bool, lock: threading.Lock) -> None:
+    def __init__(
+        self, name: str, description: str, enabled: bool, lock: threading.Lock,
+        flush: Callable[[], None],
+    ) -> None:
         self.name = name
         self.description = description
         self._enabled = enabled
         self._lock = lock
+        self._flush = flush
         self._series: Dict[LabelKey, Any] = {}
 
     def series(self) -> Dict[LabelKey, Any]:
         """Snapshot of ``{labels: value}`` for this metric."""
+        self._flush()
         with self._lock:
             return dict(self._series)
 
@@ -71,15 +100,21 @@ class Counter(_Metric):
             return
         if value < 0:
             raise ConfigurationError(f"counter {self.name!r} cannot decrease by {value}")
-        key = _key(labels)
+        self._flush()
+        self._fold({_key(labels): [value]})
+
+    def _fold(self, groups: Groups) -> None:
         with self._lock:
-            self._series[key] = self._series.get(key, 0) + value
+            for key, values in groups.items():
+                self._series[key] = reduce(add, values, self._series.get(key, 0))
 
     def value(self, **labels: Any) -> float:
+        self._flush()
         with self._lock:
             return self._series.get(_key(labels), 0)
 
     def total(self) -> float:
+        self._flush()
         with self._lock:
             return sum(self._series.values())
 
@@ -92,20 +127,28 @@ class Gauge(_Metric):
     def set(self, value: float, **labels: Any) -> None:
         if not self._enabled:
             return
-        with self._lock:
-            self._series[_key(labels)] = value
+        self._flush()
+        self._fold({_key(labels): [value]}, keep_max=False)
 
     def set_max(self, value: float, **labels: Any) -> None:
         """Keep the running maximum (used for per-rank clocks)."""
         if not self._enabled:
             return
-        key = _key(labels)
+        self._flush()
+        self._fold({_key(labels): [value]})
+
+    def _fold(self, groups: Groups, keep_max: bool = True) -> None:
+        """The last value, or the running maximum: a value replaces the
+        current one only if it is larger."""
         with self._lock:
-            cur = self._series.get(key)
-            if cur is None or value > cur:
-                self._series[key] = value
+            for key, values in groups.items():
+                self._series[key] = (
+                    reduce(max, values, self._series.get(key, values[0]))
+                    if keep_max else values[-1]
+                )
 
     def value(self, **labels: Any) -> Optional[float]:
+        self._flush()
         with self._lock:
             return self._series.get(_key(labels))
 
@@ -124,9 +167,10 @@ class Histogram(_Metric):
         description: str,
         enabled: bool,
         lock: threading.Lock,
+        flush: Callable[[], None],
         buckets: Iterable[float] = DEFAULT_BUCKETS,
     ) -> None:
-        super().__init__(name, description, enabled, lock)
+        super().__init__(name, description, enabled, lock, flush)
         self.buckets = tuple(sorted(buckets))
         if not self.buckets:
             raise ConfigurationError("histogram needs at least one bucket bound")
@@ -134,29 +178,30 @@ class Histogram(_Metric):
     def observe(self, value: float, **labels: Any) -> None:
         if not self._enabled:
             return
-        key = _key(labels)
+        self._flush()
+        self._fold({_key(labels): [value]})
+
+    def _fold(self, groups: Groups) -> None:
+        """A value fills the first bucket whose bound it does not exceed,
+        else (NaN too) the overflow bucket."""
+        bounds = self.buckets
         with self._lock:
-            cell = self._series.get(key)
-            if cell is None:
-                cell = self._series[key] = {
-                    "count": 0,
-                    "sum": 0.0,
-                    "min": value,
-                    "max": value,
-                    "buckets": [0] * (len(self.buckets) + 1),
-                }
-            cell["count"] += 1
-            cell["sum"] += value
-            cell["min"] = min(cell["min"], value)
-            cell["max"] = max(cell["max"], value)
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    cell["buckets"][i] += 1
-                    break
-            else:
-                cell["buckets"][-1] += 1
+            for key, values in groups.items():
+                cell = self._series.setdefault(key, {
+                    "count": 0, "sum": 0.0, "min": values[0], "max": values[0],
+                    "buckets": [0] * (len(bounds) + 1),
+                })
+                cell["count"] += len(values)
+                cell["sum"] = reduce(add, values, cell["sum"])
+                cell["min"] = reduce(min, values, cell["min"])
+                cell["max"] = reduce(max, values, cell["max"])
+                for i, filled in _Tally(
+                    bisect_left(bounds, v) if v == v else len(bounds) for v in values
+                ).items():
+                    cell["buckets"][i] += filled
 
     def stats(self, **labels: Any) -> Optional[Dict[str, Any]]:
+        self._flush()
         with self._lock:
             cell = self._series.get(_key(labels))
             return None if cell is None else dict(cell)
@@ -174,6 +219,7 @@ class Histogram(_Metric):
         """
         if not 0.0 <= q <= 1.0:
             raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
+        self._flush()
         with self._lock:
             cell = self._series.get(_key(labels))
             if cell is None or cell["count"] == 0:
@@ -209,14 +255,17 @@ class MetricsRegistry:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._metrics: Dict[str, _Metric] = {}
+        self._pending: List[Any] = []  # trace events not yet folded
 
     # -- metric construction (idempotent by name) ---------------------------
 
     def _get(self, cls, name: str, description: str, **kwargs) -> Any:
+        if name not in self._metrics:
+            self.flush()  # buffered events create their metrics first
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = cls(name, description, self.enabled, self._lock, **kwargs)
+                metric = cls(name, description, self.enabled, self._lock, self.flush, **kwargs)
                 self._metrics[name] = metric
             elif not isinstance(metric, cls):
                 raise ConfigurationError(
@@ -236,65 +285,84 @@ class MetricsRegistry:
         return self._get(Histogram, name, description, buckets=buckets)
 
     def metrics(self) -> Tuple[_Metric, ...]:
+        self.flush()
         with self._lock:
             return tuple(self._metrics.values())
 
     # -- the standard trace-event sink --------------------------------------
 
     def observe_event(self, event: Any) -> None:
-        """Update the standard communication metrics from one trace event.
+        """Buffer one trace event for the standard communication metrics.
 
         Accepts any :class:`~repro.simmpi.tracing.TraceEvent`; suitable
         for ``Tracer(sink=registry.observe_event)`` (which is what
-        ``SimEngine(metrics=registry)`` wires up).
+        ``SimEngine(metrics=registry)`` wires up).  The engine runs one
+        rank at a time, so the append needs no lock.
         """
         if not self.enabled:
             return
-        op = event.op
-        if op in ("send", "recv"):
-            self.counter("comm.messages", "p2p messages").inc(1, rank=event.rank, op=op)
-            self.counter("comm.bytes", "p2p wire bytes").inc(
-                event.nbytes, rank=event.rank, op=op
-            )
-            self.counter("comm.data_bytes", "p2p payload data bytes").inc(
-                event.data_bytes, rank=event.rank, op=op
-            )
-            if op == "recv":
-                self.histogram("comm.recv_seconds", "virtual receive latency").observe(
-                    event.t_end - event.t_start, rank=event.rank
-                )
-        elif op == "span":
-            from repro.telemetry.spans import base_name
+        self._pending.append(event)
+        if len(self._pending) >= FOLD_CHUNK:
+            self.flush()
 
-            name = base_name(event.span[-1]) if event.span else "?"
-            self.counter("span.count", "spans closed").inc(1, rank=event.rank, span=name)
-            self.counter("span.seconds", "virtual seconds inside spans").inc(
-                event.t_end - event.t_start, rank=event.rank, span=name
-            )
-        elif op.startswith("fault."):
-            self.counter("faults.events", "fault-subsystem events").inc(
-                1, rank=event.rank, kind=op[len("fault."):]
-            )
-        elif op == "hb":
-            fields = dict(event.tag)
-            self.counter("hb.count", "heartbeats emitted").inc(1, rank=event.rank)
-            step = fields.get("step")
-            if step is not None:
-                self.gauge("hb.step", "latest heartbeat step").set_max(
-                    step, rank=event.rank
-                )
-            loss = fields.get("loss")
-            if loss is not None:
-                self.gauge("hb.loss", "latest heartbeat loss").set(
-                    loss, rank=event.rank
-                )
-        else:  # collective entry markers ("allreduce[ring]", ...)
-            self.counter("coll.calls", "collective entries").inc(
-                1, rank=event.rank, op=op
-            )
-        self.gauge("clock.seconds", "per-rank virtual clock").set_max(
-            event.t_end, rank=event.rank
-        )
+    def flush(self) -> None:
+        """Fold the buffered trace events into the standard metrics.
+
+        ``send``/``recv`` feed ``comm.*`` per ``(op, rank)`` and a
+        ``recv`` its latency into ``comm.recv_seconds``; a ``span`` feeds
+        ``span.*`` per ``(rank, leaf span name)``, ``fault.*`` counts in
+        ``faults.events`` and ``hb`` in ``hb.count`` (plus the ``hb.step``
+        maximum and latest ``hb.loss``); any other op is a collective
+        entry in ``coll.calls``.  Every event raises its rank's
+        ``clock.seconds`` to its ``t_end``.
+        """
+        with self._lock:
+            events, self._pending = self._pending, []
+        if not events:
+            return
+        ops = dict.fromkeys(e.op for e in events)
+        faulty = {op for op in ops if op.startswith("fault.")}
+        collective = ops.keys() - faulty - {"send", "recv", "span", "hb"}
+        plan = []
+
+        def fold(name, items, raw, labels, values=None, **how):
+            """Plan ``name``'s update by ``items``: their ``values``
+            (counts of 1 without them) keyed by ``raw`` label values."""
+            if items:
+                # Create metrics as per-event updates did: by first event,
+                # then in the order one event updates them.
+                first = next(i for i, e in enumerate(events) if e is items[0])
+                at = (first, _ORDER[name])
+                plan.append((at, name, _groups(raw, labels, values), how))
+
+        p2p = [e for e in events if e.op == "send" or e.op == "recv"]
+        raw = [(e.op, e.rank) for e in p2p]
+        fold("comm.messages", p2p, raw, ("op", "rank"))
+        fold("comm.bytes", p2p, raw, ("op", "rank"), [e.nbytes for e in p2p])
+        fold("comm.data_bytes", p2p, raw, ("op", "rank"), [e.data_bytes for e in p2p])
+        recvs = [e for e in p2p if e.op == "recv"] if "recv" in ops else []
+        fold("comm.recv_seconds", recvs, [e.rank for e in recvs], ("rank",),
+             [e.t_end - e.t_start for e in recvs])
+        spans = [e for e in events if e.op == "span"] if "span" in ops else []
+        raw = [(e.rank, base_name(e.span[-1]) if e.span else "?") for e in spans]
+        fold("span.count", spans, raw, ("rank", "span"))
+        fold("span.seconds", spans, raw, ("rank", "span"), [e.t_end - e.t_start for e in spans])
+        faults = [e for e in events if e.op in faulty] if faulty else []
+        fold("faults.events", faults, [(e.op[len("fault."):], e.rank) for e in faults],
+             ("kind", "rank"))
+        beats = [e for e in events if e.op == "hb"] if "hb" in ops else []
+        fold("hb.count", beats, [e.rank for e in beats], ("rank",))
+        for field in ("step", "loss") if beats else ():
+            got = [(e, v) for e in beats for v in [dict(e.tag).get(field)] if v is not None]
+            fold("hb." + field, [e for e, _ in got], [e.rank for e, _ in got], ("rank",),
+                 [v for _, v in got], keep_max=field == "step")
+        colls = [e for e in events if e.op in collective] if collective else []
+        fold("coll.calls", colls, [(e.op, e.rank) for e in colls], ("op", "rank"))
+        fold("clock.seconds", events, [e.rank for e in events], ("rank",),
+             [e.t_end for e in events])
+        for _, name, groups, how in sorted(plan, key=lambda step: step[0]):
+            cls, description = _STANDARD[name]
+            self._get(cls, name, description)._fold(groups, **how)
 
     # -- combination ---------------------------------------------------------
 
@@ -310,6 +378,7 @@ class MetricsRegistry:
         """
         if not self.enabled:
             return
+        self.flush()
         for theirs in other.metrics():
             if isinstance(theirs, Histogram):
                 mine = self.histogram(
@@ -322,19 +391,13 @@ class MetricsRegistry:
                     )
             else:
                 mine = self._get(type(theirs), theirs.name, theirs.description)
+                mine._fold({key: [value] for key, value in theirs.series().items()})
+                continue
             for key, value in theirs.series().items():
                 with self._lock:
                     cur = mine._series.get(key)
                     if cur is None:
-                        mine._series[key] = (
-                            dict(value, buckets=list(value["buckets"]))
-                            if isinstance(mine, Histogram)
-                            else value
-                        )
-                    elif isinstance(mine, Counter):
-                        mine._series[key] = cur + value
-                    elif isinstance(mine, Gauge):
-                        mine._series[key] = max(cur, value)
+                        mine._series[key] = dict(value, buckets=list(value["buckets"]))
                     else:
                         cur["count"] += value["count"]
                         cur["sum"] += value["sum"]
@@ -371,6 +434,40 @@ class MetricsRegistry:
         table = ResultTable(title, columns=["metric", "type", "labels", "value"])
         table.extend(self.to_rows())
         return table
+
+
+#: The trace sink's metrics, name -> (class, description), in the order
+#: one event updates them.
+_STANDARD = {
+    "comm.messages": (Counter, "p2p messages"),
+    "comm.bytes": (Counter, "p2p wire bytes"),
+    "comm.data_bytes": (Counter, "p2p payload data bytes"),
+    "comm.recv_seconds": (Histogram, "virtual receive latency"),
+    "span.count": (Counter, "spans closed"),
+    "span.seconds": (Counter, "virtual seconds inside spans"),
+    "faults.events": (Counter, "fault-subsystem events"),
+    "hb.count": (Counter, "heartbeats emitted"),
+    "hb.step": (Gauge, "latest heartbeat step"),
+    "hb.loss": (Gauge, "latest heartbeat loss"),
+    "coll.calls": (Counter, "collective entries"),
+    "clock.seconds": (Gauge, "per-rank virtual clock"),
+}
+_ORDER = {name: i for i, name in enumerate(_STANDARD)}
+
+
+def _groups(raw: List[Any], labels: Tuple[str, ...], values: Optional[List[Any]]) -> Groups:
+    """``values`` (without them, counts of 1) per label set, in order;
+    ``raw`` holds each value's label values, named ``labels``."""
+    if values is None:
+        grouped = {key: [count] for key, count in _Tally(raw).items()}
+    else:
+        grouped = {key: [] for key in dict.fromkeys(raw)}
+        for key, value in zip(raw, values):
+            grouped[key].append(value)
+    return {
+        tuple(zip(labels, key)) if len(labels) > 1 else ((labels[0], key),): group
+        for key, group in grouped.items()
+    }
 
 
 #: A shared disabled registry: every mutation is a no-op.

@@ -315,7 +315,7 @@ def _barrier_prog(comm):
 @case("message-drop/size=2")
 def _message_drop_case():
     plan = FaultPlan(seed=2, drops=(MessageDrop(rank=0, dest=1, send_index=0),))
-    return observe_failure(SimEngine(2, faults=plan, timeout=0.5), _barrier_prog)
+    return observe_failure(SimEngine(2, faults=plan), _barrier_prog)
 
 
 def _crash_shrink_case(mode):
@@ -367,7 +367,7 @@ def _deadlock_prog(comm):
 
 
 case("deadlock/size=2")(
-    lambda: observe_failure(SimEngine(2, timeout=0.5), _deadlock_prog)
+    lambda: observe_failure(SimEngine(2), _deadlock_prog)
 )
 
 

@@ -52,8 +52,9 @@ def exact(obj):
     return obj
 
 
-def observe(registry, engine=None, sim=None):
-    """Registry rows, plus the critical path of a traced run."""
+def observe(registry, engine=None, sim=None, critical=True):
+    """Registry rows, plus (unless ``critical`` is false) the critical
+    path of a traced run."""
     rows = [exact(list(row.values())) for row in registry.to_rows()]
     rows += [
         [metric.name, "buckets", str(key), cell["buckets"]]
@@ -67,7 +68,7 @@ def observe(registry, engine=None, sim=None):
     }
     if len(rows) <= MAX_LISTED:
         obs["rows"] = rows
-    if sim is not None:
+    if sim is not None and critical:
         cp = critical_path(
             engine.tracer.canonical(), clocks=sim.clocks, dropped=engine.tracer.dropped
         )
@@ -87,7 +88,7 @@ def mlp_run(pr, pc, dims, batch, steps=2):
     _, _, sim = distributed_mlp_train(
         params, x, y, pr=pr, pc=pc, batch=batch, steps=steps, engine=engine
     )
-    return observe(registry, engine, sim)
+    return registry, engine, sim
 
 
 def elastic_run():
@@ -102,7 +103,7 @@ def elastic_run():
         params, x, y, pr=2, pc=2, batch=12, steps=6, checkpoint_every=2,
         ckpt_mode="erasure", sdc="correct", engine=engine,
     )
-    return observe(registry, engine, res.sim)
+    return registry, engine, res.sim
 
 
 def _allreduce_then_deadlock(comm):
@@ -115,11 +116,11 @@ def deadlock_run():
     try:
         SimEngine(2, metrics=registry).run(_allreduce_then_deadlock)
     except RankFailedError:
-        return observe(registry)
+        return registry, None, None
     raise AssertionError("the run was expected to deadlock")
 
 
-#: Run id -> zero-argument callable returning its observation.
+#: Run id -> zero-argument callable returning ``(registry, engine, sim)``.
 RUNS = {
     "mlp/2x2": lambda: mlp_run(2, 2, (12, 9, 5), 8),
     "mlp/8x32": lambda: mlp_run(8, 32, (64, 64, 32), 64),
@@ -129,4 +130,4 @@ RUNS = {
 
 
 def observe_all():
-    return {run_id: fn() for run_id, fn in RUNS.items()}
+    return {run_id: observe(*fn()) for run_id, fn in RUNS.items()}

@@ -111,7 +111,7 @@ def test_deadlock_detection_fires(size, stuck):
             comm.recv(source=(victim + 1) % comm.size, tag=12345)
         return comm.rank
 
-    engine = SimEngine(size, backend="event", timeout=0.5)
+    engine = SimEngine(size, backend="event")
     with pytest.raises(RankFailedError) as exc_info:
         engine.run(prog)
     failures = exc_info.value.failures

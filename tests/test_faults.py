@@ -197,7 +197,7 @@ class TestInjectedCommFaults:
 
     def test_message_drop_trips_watchdog(self):
         plan = FaultPlan(drops=(MessageDrop(0, send_index=0),))
-        eng = SimEngine(2, faults=plan, timeout=0.4, trace=True)
+        eng = SimEngine(2, faults=plan, trace=True)
         with pytest.raises(RankFailedError) as err:
             eng.run(_pingpong)
         assert isinstance(err.value.failures[1], DeadlockError)
@@ -262,7 +262,7 @@ class TestSupervisedCrashes:
 
     def test_supervised_crash_survivors_shrink_and_finish(self):
         plan = FaultPlan(crashes=(Crash(1, at_step=2),))
-        eng = SimEngine(4, faults=plan, supervise=True, trace=True, timeout=10.0)
+        eng = SimEngine(4, faults=plan, supervise=True, trace=True)
         res = eng.run(_resilient_allreduce)
         assert res.failed == (1,)
         assert res.survivors == (0, 2, 3)
@@ -274,7 +274,7 @@ class TestSupervisedCrashes:
 
     def test_two_crashes_sequential_recoveries(self):
         plan = FaultPlan(crashes=(Crash(1, at_step=2), Crash(2, at_step=4)))
-        eng = SimEngine(4, faults=plan, supervise=True, timeout=10.0)
+        eng = SimEngine(4, faults=plan, supervise=True)
         res = eng.run(_resilient_allreduce)
         assert res.failed == (1, 2)
         assert all(res.values[r] == (2, 6) for r in (0, 3))
@@ -282,7 +282,7 @@ class TestSupervisedCrashes:
     def test_all_ranks_dead_raises(self):
         plan = FaultPlan(crashes=(Crash(0, at_step=0), Crash(1, at_step=0)))
         with pytest.raises(RankFailedError):
-            SimEngine(2, faults=plan, supervise=True, timeout=5.0).run(
+            SimEngine(2, faults=plan, supervise=True).run(
                 _resilient_allreduce
             )
 
@@ -296,7 +296,7 @@ class TestSupervisedCrashes:
 
     def test_replay_is_deterministic(self):
         plan = FaultPlan(seed=3, crashes=(Crash(1, at_step=2), Crash(2, at_step=4)))
-        eng = SimEngine(4, faults=plan, supervise=True, trace=True, timeout=10.0)
+        eng = SimEngine(4, faults=plan, supervise=True, trace=True)
         first = eng.run(_resilient_allreduce)
         trace1 = eng.tracer.canonical()
         eng.tracer.clear()
@@ -315,7 +315,7 @@ class TestRandomizedPlansNeverHang:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_plan_terminates(self, seed):
         plan = FaultPlan.random(seed, 4)
-        eng = SimEngine(4, faults=plan, supervise=True, timeout=3.0)
+        eng = SimEngine(4, faults=plan, supervise=True)
         try:
             res = eng.run(_resilient_allreduce)
             assert all(res.values[r] is not None for r in res.survivors)

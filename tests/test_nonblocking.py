@@ -67,7 +67,7 @@ class TestBasics:
                 comm.irecv(0).wait()
 
         with pytest.raises(RankFailedError):
-            SimEngine(2, timeout=0.3).run(prog)
+            SimEngine(2).run(prog)
 
 
 class TestOverlapTiming:

@@ -118,6 +118,15 @@ class TestHistory:
         assert payload["worst"] == "ok"
         assert any(t["metric"] == "makespan_s" for t in payload["trends"])
 
+    @pytest.mark.parametrize("status, code", [("ok", 0), ("warn", 1), ("drift", 2)])
+    def test_exit_code_follows_scenario_severity(
+        self, registry_5, capsys, monkeypatch, status, code
+    ):
+        from repro.observe import registry
+
+        monkeypatch.setattr(registry, "worst_status", lambda trends: status)
+        assert main(["history", "--registry", str(registry_5)]) == code
+
     def test_series_filter(self, registry_5, capsys):
         assert main(["history", "--registry", str(registry_5),
                      "--series", "no-such-series"]) == 2

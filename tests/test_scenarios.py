@@ -96,6 +96,7 @@ def test_severity_maps_outcomes_to_exit_codes():
         ("exact", 0), ("exact-ahead", 0), ("declared-failed", 1),
         ("declared-degraded", 1), ("SILENT-DIVERGENCE", 2),
         (None, 0), ("warn", 1), ("crit", 2), ("degraded", 1),
+        ("ok", 0), ("drift", 2),
     ],
 )
 def test_every_scenario_outcome_has_its_exit_code(outcome, code):

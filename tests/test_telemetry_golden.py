@@ -4,7 +4,9 @@ Every run of :mod:`tests.telemetry_cases` must reproduce
 ``tests/golden/telemetry_golden.json`` bit for bit: registry rows in
 ``to_rows()`` order with floats as ``float.hex``, histogram bucket
 fills, and for traced runs the critical-path summary, slack digest and
-path.  Refresh deliberately with
+path.  The registry folds its buffered events in chunks of
+``FOLD_CHUNK``; the first three runs repeat with chunks of 1 and 7 to
+show that chunk boundaries change no bit.  Refresh deliberately with
 ``PYTHONPATH=src python tests/golden/generate_telemetry_golden.py``.
 """
 
@@ -13,7 +15,10 @@ import json
 
 import pytest
 
-from tests.telemetry_cases import GOLDEN_PATH, RUNS
+from repro.analysis.critical import critical_path
+from repro.errors import ConfigurationError
+from repro.telemetry import metrics
+from tests.telemetry_cases import GOLDEN_PATH, RUNS, observe
 
 
 @functools.lru_cache(maxsize=None)
@@ -22,8 +27,8 @@ def golden():
         return json.load(fh)["runs"]
 
 
-def assert_golden(run_id, observed):
-    expected = golden()[run_id]
+def assert_golden(run_id, observed, skip=()):
+    expected = {k: v for k, v in golden()[run_id].items() if k not in skip}
     assert observed.keys() == expected.keys(), run_id
     for key in expected:
         assert observed[key] == expected[key], f"{run_id}: {key} differs from golden"
@@ -35,4 +40,20 @@ def test_goldens_cover_every_run():
 
 @pytest.mark.parametrize("run_id", sorted(RUNS))
 def test_run_matches_golden(run_id):
-    assert_golden(run_id, RUNS[run_id]())
+    assert_golden(run_id, observe(*RUNS[run_id]()))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("run_id", list(RUNS)[:3])
+def test_chunk_boundaries_change_no_bit(run_id, chunk, monkeypatch):
+    monkeypatch.setattr(metrics, "FOLD_CHUNK", chunk)
+    assert_golden(run_id, observe(*RUNS[run_id](), critical=False), skip=("critical",))
+
+
+def test_trace_out_of_program_order_is_rejected():
+    _, engine, sim = RUNS["mlp/2x2"]()
+    events = list(engine.tracer.canonical())
+    first, *_, last = [i for i, e in enumerate(events) if e.rank == 0 and e.op == "send"]
+    events[first], events[last] = events[last], events[first]
+    with pytest.raises(ConfigurationError, match="program order"):
+        critical_path(events, clocks=sim.clocks)
